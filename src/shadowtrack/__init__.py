@@ -55,7 +55,6 @@ from .matrices import (
     TimeGrid,
     build_filter_matrices,
     build_time_grid,
-    expand_block,
     verify_identities,
 )
 from .solver import (
@@ -67,12 +66,10 @@ from .solver import (
     evaluate_spline,
     evaluate_spline_velocity,
     oracle_residuals,
-    recover_accelerations,
     rms_acceleration,
     search_eta,
     solve_kkt_oracle,
     solve_scalar,
-    solve_scalar_multi,
     solve_vector,
 )
 from .geometry import (
@@ -148,7 +145,6 @@ __all__ = [
     "build_time_grid",
     "FilterMatrices",
     "build_filter_matrices",
-    "expand_block",
     "IdentityReport",
     "verify_identities",
     # solver
@@ -158,9 +154,7 @@ __all__ = [
     "OracleSolution",
     "EtaSearchResult",
     "solve_scalar",
-    "solve_scalar_multi",
     "solve_vector",
-    "recover_accelerations",
     "rms_acceleration",
     "search_eta",
     "evaluate_spline",

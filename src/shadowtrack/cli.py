@@ -469,18 +469,32 @@ def cmd_track(args: argparse.Namespace) -> int:
 # --- transform --------------------------------------------------------------
 
 
+def _geometry_entry(geometry: dict, key: str):
+    if key not in geometry:
+        raise SchemaError(f"geometry of kind {geometry.get('kind')!r} needs {key!r}")
+    return geometry[key]
+
+
+def _coordinates(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"geometry entry {what} must be numeric, got {value!r}") from exc
+
+
 def _site_from_geometry(entry: dict, what: str) -> SensorSite:
     if not isinstance(entry, dict):
         raise SchemaError(f"geometry entry {what} must be an object")
     if "start" in entry:
-        start = np.asarray(entry["start"], dtype=float)
-        end = np.asarray(entry.get("end", entry["start"]), dtype=float)
-        span = float(entry.get("span", 1.0))
-        if span <= 0:
-            raise SchemaError(f"geometry entry {what} has non-positive span")
+        start = _coordinates(entry["start"], f"{what}.start")
+        end = _coordinates(entry.get("end", entry["start"]), f"{what}.end")
+        span = _coordinates(entry.get("span", 1.0), f"{what}.span")
+        if span.shape != () or not span > 0:
+            raise SchemaError(f"geometry entry {what} needs a positive number as span")
+        span = float(span)
         return SensorSite(start, path=lambda t: start + (end - start) * (t / span))
     if "site" in entry or "position" in entry:
-        position = np.asarray(entry.get("site", entry.get("position")), dtype=float)
+        position = _coordinates(entry.get("site", entry.get("position")), f"{what}.position")
         return SensorSite(position)
     raise SchemaError(f"geometry entry {what} needs 'start'/'end' or 'position'")
 
@@ -489,20 +503,22 @@ def cmd_transform(args: argparse.Namespace) -> int:
     out_dir = _ensure_out_dir(args.out)
     geometry_doc = fileio.read_json(args.geometry)
     geometry = geometry_doc.get("geometry", geometry_doc)
+    if not isinstance(geometry, dict):
+        raise SchemaError("geometry must be an object")
     kind = geometry.get("kind")
     stem = _stem(args.readings)
     estimates = []
 
     if kind == "range-bearing":
-        site = SensorSite(np.asarray(geometry["site"], dtype=float))
+        site = SensorSite(_coordinates(_geometry_entry(geometry, "site"), "site"))
         times, observations = fileio.read_polar_observations(args.readings)
         for i, obs in enumerate(observations):
             estimates.append(
                 range_bearing_to_position(site, obs, args.mode, time=float(times[i]))
             )
     elif kind == "two-bearings":
-        site_a = _site_from_geometry(geometry["site_a"], "site_a")
-        site_b = _site_from_geometry(geometry["site_b"], "site_b")
+        site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
+        site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
         times, bearings, variances = fileio.read_bearings(args.readings)
         for i, t in enumerate(times):
             estimates.append(
@@ -514,11 +530,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 )
             )
     elif kind == "two-ranges":
-        site_a = _site_from_geometry(geometry["site_a"], "site_a")
-        site_b = _site_from_geometry(geometry["site_b"], "site_b")
-        hint = np.asarray(
-            geometry.get("disambiguator", [0.0, 0.0]), dtype=float
-        )
+        site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
+        site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
+        hint = _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator")
         times, ranges, variances = fileio.read_range_pairs(args.readings)
         previous = hint
         for i, t in enumerate(times):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIncreasingTimes, ShapeMismatch, TooFewPoints, UsageError
+from .errors import NonIncreasingTimes, ShapeMismatch, TooFewPoints
 
 __all__ = [
     "TimeGrid",
@@ -36,7 +36,6 @@ __all__ = [
     "IdentityReport",
     "build_time_grid",
     "build_filter_matrices",
-    "expand_block",
     "verify_identities",
 ]
 
@@ -163,11 +162,15 @@ def _flip2(matrix: np.ndarray) -> np.ndarray:
 class FilterMatrices:
     """Assembled system blocks for one time grid.
 
-    All arrays are read-only. ``a_bar`` and ``b_bar`` are the augmented
-    blocks of the master system (a_bar @ diag(w) + eta * b_bar) p = a_bar
-    @ diag(w) @ obs, whose final row enforces a zero weighted mean
-    residual. ``accel_core`` recovers interval accelerations from the
-    weighted residuals of a solved trajectory.
+    All arrays are read-only and scalar: entry (i, j) couples samples i
+    and j, whatever the dimension of the positions. ``a_bar`` and
+    ``b_bar`` are the augmented blocks of the master system
+    (a_bar @ diag(w) + eta * b_bar) p = a_bar @ diag(w) @ obs, whose
+    final row enforces a zero weighted mean residual; for d-dimensional
+    positions the solver scales each sample's d-by-d information matrix
+    by the a_bar entry and the identity by the b_bar entry. ``accel_core``
+    recovers interval accelerations from the weighted residuals of a
+    solved trajectory.
 
     With ``time_reversed`` set, ``A``, ``a_bar``, ``b_bar`` and
     ``accel_core`` were built on the reversed gap sequence and flipped
@@ -188,38 +191,10 @@ class FilterMatrices:
     a_bar: np.ndarray       # (n, n+1)   A plus a row of ones
     b_bar: np.ndarray       # (n, n+1)   B plus a row of zeros
     accel_core: np.ndarray  # (n, n+1)
-    block_dim: int = 1
 
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def expand(self, dim: int) -> "FilterMatrices":
-        """Block-expand every matrix for ``dim``-component positions.
-
-        Each scalar entry becomes that multiple of the dim-by-dim
-        identity, so stacked vectors keep their per-sample component
-        blocks contiguous.
-        """
-        if self.block_dim != 1:
-            raise UsageError("matrices are already block-expanded")
-        if dim == 1:
-            return self
-        return FilterMatrices(
-            grid=self.grid,
-            time_reversed=self.time_reversed,
-            D=_frozen(expand_block(self.D, dim)),
-            E=_frozen(expand_block(self.E, dim)),
-            L=_frozen(expand_block(self.L, dim)),
-            M=_frozen(expand_block(self.M, dim)),
-            G=_frozen(expand_block(self.G, dim)),
-            B=_frozen(expand_block(self.B, dim)),
-            A=_frozen(expand_block(self.A, dim)),
-            a_bar=_frozen(expand_block(self.a_bar, dim)),
-            b_bar=_frozen(expand_block(self.b_bar, dim)),
-            accel_core=_frozen(expand_block(self.accel_core, dim)),
-            block_dim=dim,
-        )
 
 
 def build_filter_matrices(grid: TimeGrid, time_reversed: bool = True) -> FilterMatrices:
@@ -259,17 +234,6 @@ def build_filter_matrices(grid: TimeGrid, time_reversed: bool = True) -> FilterM
     )
 
 
-def expand_block(matrix, dim: int) -> np.ndarray:
-    """Kronecker-expand a scalar coupling matrix to ``dim`` components.
-
-    Entry (i, j) becomes matrix[i, j] times the dim-by-dim identity, so
-    the expanded matrix acts on vectors stacked sample-major.
-    """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise UsageError(f"block dimension must be a positive integer, got {dim!r}")
-    return np.kron(np.asarray(matrix, dtype=float), np.eye(int(dim)))
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Deviations of the exact operator identities, zero when healthy."""
@@ -289,8 +253,6 @@ def verify_identities(fm: FilterMatrices) -> IdentityReport:
     extended pair reproduces the coupling reference exactly; entries are
     all 0 or +-1 so any nonzero deviation indicates a construction bug.
     """
-    if fm.block_dim != 1:
-        raise UsageError("identity checks run on unexpanded matrices")
     n = fm.n
     dl = fm.D @ fm.L - np.eye(n)
     em = fm.E @ fm.M - _coupling_reference(n)

@@ -1,21 +1,22 @@
 """Trajectory smoothing by penalized piecewise-constant-acceleration fits.
 
-Given timestamped observations with per-sample weights (inverse error
-variances), the smoother finds positions p, velocities v and per-interval
+Given timestamped d-dimensional observations with per-sample information
+matrices W_j (inverse error covariances; scalar weights are the d = 1
+case), the smoother finds positions p, velocities v and per-interval
 accelerations a that trade weighted fidelity to the observations against
 the summed squared acceleration, with trade-off weight eta. Eliminating
-the dual variables of the stationarity conditions leaves one small linear
-system in the positions alone:
+the dual variables of the stationarity conditions leaves one linear
+system in the positions alone, with d-by-d blocks:
 
-    (a_bar @ diag(w) + eta * b_bar) p = a_bar @ diag(w) @ obs
+    sum_j (a_bar[i, j] W_j + eta * b_bar[i, j] I_d) p_j = sum_j a_bar[i, j] W_j obs_j
 
-with the blocks from the matrices module. The system has one more
-unknown than equations; the missing degree of freedom is the initial
+with the scalar blocks from the matrices module. The system has d more
+unknowns than equations; the missing degrees of freedom are the initial
 velocity, which long windows render unimportant. We compute the full
 solution family from an SVD and return the member minimizing the
-weighted squared residual to the observations, which keeps noiseless
-affine data exact, reproduces the weighted line fit as eta grows, and
-ignores values carried by zero-weight placeholder slots.
+information-weighted squared residual to the observations, which keeps
+noiseless affine data exact, reproduces the weighted line fit as eta
+grows, and ignores values carried by zero-information placeholder slots.
 
 A dense solver for the complete stationarity system (positions,
 velocities, accelerations and both dual sequences) is included as an
@@ -24,7 +25,7 @@ oracle for tests and diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
     TimeOutOfRange,
     UsageError,
 )
-from .matrices import FilterMatrices, TimeGrid, _frozen, build_filter_matrices, expand_block
+from .matrices import TimeGrid, _frozen, build_filter_matrices
 
 __all__ = [
     "ScalarObservationSeries",
@@ -50,9 +51,7 @@ __all__ = [
     "OracleSolution",
     "EtaSearchResult",
     "solve_scalar",
-    "solve_scalar_multi",
     "solve_vector",
-    "recover_accelerations",
     "rms_acceleration",
     "search_eta",
     "evaluate_spline",
@@ -221,180 +220,88 @@ class EtaSearchResult:
     trace: tuple[tuple[float, float], ...]  # (eta, xi) in evaluation order
 
 
-def _min_weighted_residual_solve(C, rhs, targets, metric):
-    """Solve C p = rhs, picking the family member closest to ``targets``.
+def _apply_blocks(infos, stacked):
+    """Apply W_j to sample j's d rows of sample-major ``stacked``.
 
-    The SVD provides the particular solution on the row space plus a
-    basis for the null space (including directions truncated as
-    numerically null); the free coefficients are chosen to minimize the
-    metric-weighted squared residual (targets - p)' W (targets - p).
-    ``metric`` is either the diagonal of W as a vector or a full PSD
-    matrix.
+    ``stacked`` has shape (m, d), (m * d,) or (m * d, k); the result has
+    the same shape.
     """
+    m, d, _ = infos.shape
+    blocks = stacked.reshape(m, d, -1)
+    return np.einsum("jab,jbk->jak", infos, blocks).reshape(stacked.shape)
+
+
+def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
+           time_reversed: bool) -> ShadowingTrajectory:
+    """Solve the master system for (m, d) values with (m, d, d) informations.
+
+    Block (i, j) of the system matrix is a_bar[i, j] W_j + eta b_bar[i, j]
+    I_d, laid out sample-major. The SVD gives the particular solution on
+    the row space and a basis for the null space (including directions
+    truncated as numerically null); the free coefficients minimize the
+    information-weighted squared residual to the observations.
+    """
+    m, d = values.shape
+    fm = build_filter_matrices(grid, time_reversed=time_reversed)
+    C = (fm.a_bar[:, None, :, None] * infos.transpose(1, 0, 2)[None]
+         + eta * fm.b_bar[:, None, :, None] * np.eye(d)[None, :, None, :])
+    C = C.reshape(-1, m * d)
+    rhs = (fm.a_bar @ _apply_blocks(infos, values)).reshape(-1)
     U, s, Vt = np.linalg.svd(C, full_matrices=True)
     if s[0] <= 0.0:
         raise SingularSystem("system matrix is identically zero")
     rank = int(np.sum(s > SVD_CUTOFF * s[0]))
     y = U.T @ rhs
-    if rhs.ndim == 1:
-        coeff = y[:rank] / s[:rank]
-    else:
-        coeff = y[:rank] / s[:rank, None]
-    p = Vt[:rank].T @ coeff
+    p = Vt[:rank].T @ (y[:rank] / s[:rank])
     null_basis = Vt[rank:].T
     if null_basis.shape[1]:
-        residual = targets - p
-        if metric.ndim == 1:
-            weighted_basis = metric[:, None] * null_basis
-            weighted_residual = metric[:, None] * residual if residual.ndim == 2 \
-                else metric * residual
-        else:
-            weighted_basis = metric @ null_basis
-            weighted_residual = metric @ residual
-        gram = null_basis.T @ weighted_basis
-        beta = null_basis.T @ weighted_residual
+        gram = null_basis.T @ _apply_blocks(infos, null_basis)
+        beta = null_basis.T @ _apply_blocks(infos, values.reshape(-1) - p)
         alpha = np.linalg.lstsq(gram, beta, rcond=None)[0]
         p = p + null_basis @ alpha
     resid = float(np.linalg.norm(C @ p - rhs))
-    return p, rank, resid
-
-
-def _velocities_from(positions, accelerations, taus):
-    """Velocities making each interval's quadratic hit both endpoints."""
-    tt = taus if positions.ndim == 1 else taus[:, None]
-    head = np.diff(positions, axis=0) / tt - 0.5 * accelerations * tt
-    last = head[-1] + accelerations[-1] * tt[-1]
-    return np.concatenate([head, last[None, ...]], axis=0)
+    p = p.reshape(m, d)
+    a = fm.accel_core @ _apply_blocks(infos, values - p) / (2.0 * eta)
+    # Velocities making each interval's quadratic hit both endpoints.
+    taus = grid.taus[:, None]
+    head = np.diff(p, axis=0) / taus - 0.5 * a * taus
+    v = np.concatenate([head, head[-1:] + a[-1:] * taus[-1:]], axis=0)
+    return ShadowingTrajectory(
+        grid=grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
+        accelerations=_frozen(a), time_reversed=time_reversed,
+        residual_norm=resid, rank=rank,
+    )
 
 
 def solve_scalar(obs: ScalarObservationSeries, eta: float,
                  time_reversed: bool = True) -> ShadowingTrajectory:
     """Fit a scalar trajectory to weighted observations at one eta.
 
-    The default time-reversed assembly concentrates the scheme's
-    approximation error at the oldest samples, so the newest positions
-    and velocities are the most trustworthy.
+    This is the d = 1 case of ``solve_vector``, with each weight as a
+    1-by-1 information matrix. The default time-reversed assembly
+    concentrates the scheme's approximation error at the oldest samples,
+    so the newest positions and velocities are the most trustworthy.
     """
     eta = _require_positive_eta(eta)
-    fm = build_filter_matrices(obs.grid, time_reversed=time_reversed)
-    w = obs.weights
-    C = fm.a_bar * w[None, :] + eta * fm.b_bar
-    rhs = fm.a_bar @ (w * obs.values)
-    p, rank, resid = _min_weighted_residual_solve(C, rhs, obs.values, w)
-    a = fm.accel_core @ (w * (obs.values - p)) / (2.0 * eta)
-    v = _velocities_from(p, a, obs.grid.taus)
-    return ShadowingTrajectory(
-        grid=obs.grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
-        accelerations=_frozen(a), time_reversed=time_reversed,
-        residual_norm=resid, rank=rank,
-    )
-
-
-def solve_scalar_multi(grid: TimeGrid, weights, values, eta: float,
-                       time_reversed: bool = True) -> tuple[ShadowingTrajectory, ...]:
-    """Fit several scalar components sharing one grid and weight profile.
-
-    The system matrix depends only on the grid, the weights and eta, so
-    a single factorization serves every column of ``values``; the result
-    matches independent per-component fits.
-    """
-    eta = _require_positive_eta(eta)
-    weights = np.asarray(weights, dtype=float)
-    values = np.asarray(values, dtype=float)
-    m = grid.times.shape[0]
-    if values.ndim != 2 or values.shape[0] != m or values.shape[1] < 1:
-        raise ShapeMismatch(f"values must have shape ({m}, d), got {values.shape}")
-    # Reuse the scalar series validation for the shared weight profile.
-    probe = ScalarObservationSeries(grid=grid, values=values[:, 0], weights=weights)
-    if not np.all(np.isfinite(values)):
-        raise DataError("observation values must be finite")
-    w = probe.weights
-    fm = build_filter_matrices(grid, time_reversed=time_reversed)
-    C = fm.a_bar * w[None, :] + eta * fm.b_bar
-    rhs = fm.a_bar @ (w[:, None] * values)
-    p, rank, _ = _min_weighted_residual_solve(C, rhs, values, w)
-    a = fm.accel_core @ (w[:, None] * (values - p)) / (2.0 * eta)
-    per_column_resid = np.linalg.norm(C @ p - rhs, axis=0)
-    out = []
-    for k in range(values.shape[1]):
-        v = _velocities_from(p[:, k], a[:, k], grid.taus)
-        out.append(ShadowingTrajectory(
-            grid=grid, eta=eta, positions=_frozen(p[:, k]),
-            velocities=_frozen(v), accelerations=_frozen(a[:, k]),
-            time_reversed=time_reversed,
-            residual_norm=float(per_column_resid[k]), rank=rank,
-        ))
-    return tuple(out)
-
-
-def _block_diag_informations(infos: np.ndarray) -> np.ndarray:
-    m, d, _ = infos.shape
-    W = np.zeros((m * d, m * d))
-    for i in range(m):
-        W[i * d:(i + 1) * d, i * d:(i + 1) * d] = infos[i]
-    return W
+    traj = _solve(obs.grid, obs.values[:, None], obs.weights[:, None, None],
+                  eta, time_reversed)
+    return replace(traj, positions=traj.positions[:, 0],
+                   velocities=traj.velocities[:, 0],
+                   accelerations=traj.accelerations[:, 0])
 
 
 def solve_vector(obs: VectorObservationSeries, eta: float,
                  time_reversed: bool = True) -> ShadowingTrajectory:
     """Fit a d-dimensional trajectory with general information matrices.
 
-    Positions are stacked sample-major and every system block is
-    expanded so each scalar coupling acts identically on all components;
-    the appended constraint rows enforce a zero information-weighted
-    residual sum per component. With diagonal informations the problem
-    decouples and matches per-component scalar fits.
+    Each scalar coupling of the master system scales sample j's
+    information block W_j or the identity; the appended constraint rows
+    enforce a zero information-weighted residual sum per component. With
+    diagonal informations the problem decouples into per-component
+    scalar fits, and with d = 1 it is exactly ``solve_scalar``.
     """
     eta = _require_positive_eta(eta)
-    d = obs.dim
-    fm = build_filter_matrices(obs.grid, time_reversed=time_reversed)
-    W = _block_diag_informations(obs.informations)
-    a_hat = expand_block(fm.a_bar, d)
-    b_hat = expand_block(fm.b_bar, d)
-    stacked = obs.values.reshape(-1)
-    C = a_hat @ W + eta * b_hat
-    rhs = a_hat @ (W @ stacked)
-    p_st, rank, resid = _min_weighted_residual_solve(C, rhs, stacked, W)
-    core = expand_block(fm.accel_core, d)
-    a_st = core @ (W @ (stacked - p_st)) / (2.0 * eta)
-    p = p_st.reshape(-1, d)
-    a = a_st.reshape(-1, d)
-    v = _velocities_from(p, a, obs.grid.taus)
-    return ShadowingTrajectory(
-        grid=obs.grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
-        accelerations=_frozen(a), time_reversed=time_reversed,
-        residual_norm=resid, rank=rank,
-    )
-
-
-def recover_accelerations(positions, obs, eta: float, fm: FilterMatrices):
-    """Per-interval accelerations implied by solved positions.
-
-    Applies the acceleration-recovery core (with the same reversal
-    bookkeeping as ``fm``) to the weighted residuals and divides out the
-    doubled penalty weight.
-    """
-    eta = _require_positive_eta(eta)
-    positions = np.asarray(positions, dtype=float)
-    if isinstance(obs, ScalarObservationSeries):
-        if positions.shape != obs.values.shape:
-            raise ShapeMismatch(
-                f"positions shape {positions.shape} does not match observations "
-                f"{obs.values.shape}"
-            )
-        return fm.accel_core @ (obs.weights * (obs.values - positions)) / (2.0 * eta)
-    if isinstance(obs, VectorObservationSeries):
-        if positions.shape != obs.values.shape:
-            raise ShapeMismatch(
-                f"positions shape {positions.shape} does not match observations "
-                f"{obs.values.shape}"
-            )
-        d = obs.dim
-        W = _block_diag_informations(obs.informations)
-        core = expand_block(fm.accel_core, d)
-        resid = (obs.values - positions).reshape(-1)
-        return (core @ (W @ resid) / (2.0 * eta)).reshape(-1, d)
-    raise UsageError(f"unsupported observation container {type(obs).__name__}")
+    return _solve(obs.grid, obs.values, obs.informations, eta, time_reversed)
 
 
 def rms_acceleration(traj: ShadowingTrajectory) -> float:

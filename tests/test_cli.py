@@ -359,15 +359,28 @@ class TestTransform:
         for e in ignore:
             assert e.information[0, 1] == 0.0
 
-    def test_unknown_geometry_kind_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("geometry, named", [
+        ({"kind": "triangulation"}, "triangulation"),
+        ({"kind": "range-bearing"}, "'site'"),
+        ({"kind": "range-bearing", "site": ["east", 0.0]}, "site"),
+        ({"kind": "two-bearings", "site_b": {"position": [5.0, 0.0]}}, "'site_a'"),
+        ({"kind": "two-ranges", "site_a": {"position": [0.0, 0.0]}}, "'site_b'"),
+        ({"kind": "two-ranges", "site_a": {"start": [0.0, "north"]},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a.start"),
+        ({"kind": "two-bearings", "site_a": {"position": {"x": 0.0}},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a.position"),
+        ("two-ranges", "geometry must be an object"),
+    ], ids=["unknown-kind", "missing-site", "text-site", "missing-site-a",
+            "missing-site-b", "text-start", "object-position", "not-an-object"])
+    def test_unknown_geometry_kind_exits_3(self, tmp_path, capsys, geometry, named):
         pairs = str(tmp_path / "pairs.csv")
         fileio.write_range_pairs(
             pairs, np.arange(3.0), np.ones((3, 2)), np.full((3, 2), 0.01)
         )
         geo = str(tmp_path / "geo.json")
-        fileio.write_json(geo, {"geometry": {"kind": "triangulation"}})
+        fileio.write_json(geo, {"geometry": geometry})
         assert run_cli("transform", pairs, geo, "--out", str(tmp_path)) == 3
-        assert "triangulation" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 class TestDeterministicRerun:

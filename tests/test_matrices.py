@@ -8,7 +8,6 @@ from shadowtrack import (
     TooFewPoints,
     build_filter_matrices,
     build_time_grid,
-    expand_block,
     verify_identities,
 )
 
@@ -130,18 +129,6 @@ class TestIdentities:
         rev = build_filter_matrices(grid, time_reversed=True)
         assert not np.array_equal(fwd.A, rev.A)
         assert not np.array_equal(fwd.accel_core, rev.accel_core)
-
-
-class TestExpandBlock:
-    def test_kronecker_interleaving(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        big = expand_block(m, 2)
-        assert big.shape == (4, 4)
-        assert np.array_equal(big, np.kron(m, np.eye(2)))
-
-    def test_dim_one_is_identity_operation(self):
-        m = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(expand_block(m, 1), m)
 
 
 class TestImmutability:

@@ -11,6 +11,7 @@ from shadowtrack import (
     ScalarObservationSeries,
     ShapeMismatch,
     TimeOutOfRange,
+    PolarObservation,
     TooFewPoints,
     VectorObservationSeries,
     build_filter_matrices,
@@ -19,14 +20,14 @@ from shadowtrack import (
     evaluate_spline_velocity,
     gen_scalar_rednoise,
     oracle_residuals,
+    range_bearing_to_position,
     rms_acceleration,
     search_eta,
     solve_kkt_oracle,
     solve_scalar,
-    solve_scalar_multi,
     solve_vector,
 )
-from shadowtrack.solver import ShadowingTrajectory
+from shadowtrack.solver import SVD_CUTOFF, ShadowingTrajectory
 
 
 def scalar_series(times, values, weights=None):
@@ -42,6 +43,30 @@ def random_series(rng, n=10, tau_range=(7.0, 9.0), weight=25.0, noise=0.08):
     times = np.concatenate([[0.0], np.cumsum(taus)])
     values = 10.0 * np.sin(times / 25.0) + 0.2 * times + noise * rng.standard_normal(n + 1)
     return scalar_series(times, values, np.full(n + 1, weight))
+
+
+def kronecker_reference_positions(obs, eta, time_reversed):
+    """Planar positions from the Kronecker-expanded, block-diagonal system.
+
+    Every scalar coupling is expanded to a d-by-d identity block and the
+    informations form one dense block-diagonal metric; the null-space
+    coefficients minimize the metric-weighted residual.
+    """
+    m, d = obs.values.shape
+    fm = build_filter_matrices(obs.grid, time_reversed=time_reversed)
+    W = np.zeros((m * d, m * d))
+    for j in range(m):
+        W[j * d:(j + 1) * d, j * d:(j + 1) * d] = obs.informations[j]
+    a_hat = np.kron(fm.a_bar, np.eye(d))
+    stacked = obs.values.reshape(-1)
+    C = a_hat @ W + eta * np.kron(fm.b_bar, np.eye(d))
+    rhs = a_hat @ (W @ stacked)
+    U, s, Vt = np.linalg.svd(C)
+    rank = int(np.sum(s > SVD_CUTOFF * s[0]))
+    p = Vt[:rank].T @ ((U.T @ rhs)[:rank] / s[:rank])
+    null = Vt[rank:].T
+    alpha = np.linalg.lstsq(null.T @ W @ null, null.T @ W @ (stacked - p), rcond=None)[0]
+    return (p + null @ alpha).reshape(m, d)
 
 
 def weighted_line_fit(times, values, weights):
@@ -281,23 +306,53 @@ class TestVectorAndMulti:
         back = recovered @ eigvecs.T
         assert np.abs(vec.positions - back).max() <= 1e-9 * max(1.0, np.abs(back).max())
 
-    def test_multi_matches_independent_scalar_solves(self):
-        rng = np.random.default_rng(12)
-        times = np.linspace(0.0, 25.0, 14)
-        weights = rng.uniform(0.5, 2.0, 14)
-        columns = rng.standard_normal((14, 3))
-        grid = build_time_grid(times)
-        multi = solve_scalar_multi(grid, weights, columns, 2.0)
-        for c in range(3):
-            single = solve_scalar(scalar_series(times, columns[:, c], weights), 2.0)
-            assert np.abs(multi[c].positions - single.positions).max() <= 1e-12
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    def test_matches_kronecker_reference_with_correlated_placeholders(self, time_reversed):
+        rng = np.random.default_rng(17)
+        m = 30
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 4.0, m - 1))])
+        values = np.empty((m, 2))
+        infos = np.empty((m, 2, 2))
+        for j in range(m):
+            fix = PolarObservation(
+                distance=40.0 + 20.0 * np.sin(times[j] / 9.0),
+                bearing=0.05 * times[j] + 0.1 * rng.standard_normal(),
+                distance_variance=0.25,
+                bearing_variance=rng.uniform(1e-3, 1e-2),
+            )
+            est = range_bearing_to_position([3.0, -2.0], fix, "propagate")
+            values[j] = est.position
+            infos[j] = est.information
+        assert np.abs(infos[:, 0, 1]).max() > 0.1 * np.abs(infos[:, 0, 0]).max()
+        placeholders = [4, 5, 17, 28]
+        infos[placeholders] = 0.0
+        values[placeholders] = 1e3
+        obs = VectorObservationSeries(
+            grid=build_time_grid(times), values=values, informations=infos
+        )
+        traj = solve_vector(obs, 0.5, time_reversed=time_reversed)
+        reference = kronecker_reference_positions(obs, 0.5, time_reversed)
+        scale = np.abs(reference).max()
+        assert np.abs(traj.positions - reference).max() <= 1e-10 * scale
 
-    def test_multi_identical_columns_identical_output(self):
-        times = np.linspace(0.0, 10.0, 8)
-        col = np.sin(times)
-        grid = build_time_grid(times)
-        pair = solve_scalar_multi(grid, np.ones(8), np.column_stack([col, col]), 1.0)
-        assert np.array_equal(pair[0].positions, pair[1].positions)
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    def test_one_dimensional_vector_is_scalar_bitwise(self, time_reversed):
+        rng = np.random.default_rng(19)
+        times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-1.5, 1.5, 25))])
+        values = 3.0 * np.sin(times / 4.0) + rng.standard_normal(26)
+        weights = rng.uniform(0.5, 4.0, 26)
+        weights[[0, 7, 8, 20]] = 0.0
+        scalar = solve_scalar(scalar_series(times, values, weights), 2.0, time_reversed)
+        vector = solve_vector(
+            VectorObservationSeries(
+                grid=scalar.grid, values=values[:, None],
+                informations=weights[:, None, None],
+            ),
+            2.0, time_reversed,
+        )
+        for name in ("positions", "velocities", "accelerations"):
+            assert np.array_equal(np.squeeze(getattr(vector, name), 1), getattr(scalar, name))
+        assert (vector.rank, vector.residual_norm) == (scalar.rank, scalar.residual_norm)
 
 
 class TestEtaSearch:
