@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from . import fileio
 from .errors import (
-    DataError,
     IOFailure,
     NumericalError,
     OutOfOrderTimestamp,
@@ -51,18 +50,13 @@ from .geometry import (
 from .matrices import _frozen
 from .scenarios import (
     SCENARIO_IDS,
+    apply_missing,
     gen_planar_path,
     gen_range_bearing,
     gen_scalar_rednoise,
     gen_two_sensor_bearings,
 )
-from .solver import (
-    ScalarObservationSeries,
-    rms_acceleration,
-    search_eta,
-    solve_scalar,
-    solve_vector,
-)
+from .solver import rms_acceleration, search_eta, solve_scalar, solve_vector
 from .tracker import POLICIES, POLICY_COALESCE, SequentialTracker, TrackerConfig, TrackPoint
 
 
@@ -81,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("scenario", help=f"one of {', '.join(SCENARIO_IDS)}")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=".", help="output directory")
     gen.add_argument(
         "--missing-fraction",
         type=float,
@@ -106,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         help="eta search bracket used with --xi",
     )
-    flt.add_argument("--out", default=".", help="output directory")
 
     trk = commands.add_parser(
         "track", help="run the sequential tracker over a stream CSV"
@@ -134,7 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-6,
         help="condition-weight floor below which fixes are treated as gaps",
     )
-    trk.add_argument("--out", default=".", help="output directory")
 
     tfm = commands.add_parser(
         "transform", help="convert sensor readings to raw position estimates"
@@ -147,17 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=MODE_IGNORE_CORRELATION,
         help="noise handling for single-site polar fixes",
     )
-    tfm.add_argument("--out", default=".", help="output directory")
+    # Handlers are looked up when the parser is built, so a patched
+    # module attribute takes effect.
+    for sub, handler in (
+        (gen, cmd_generate), (flt, cmd_filter), (trk, cmd_track), (tfm, cmd_transform)
+    ):
+        sub.add_argument("--out", default=".", help="output directory")
+        sub.set_defaults(handler=handler)
     return parser
-
-
-def _ensure_out_dir(path: str) -> str:
-    if path and not os.path.isdir(path):
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise IOFailure(f"cannot create output directory {path}: {exc}") from exc
-    return path
 
 
 def _stem(path: str) -> str:
@@ -165,23 +153,41 @@ def _stem(path: str) -> str:
     return base[: -len(".csv")] if base.endswith(".csv") else os.path.splitext(base)[0]
 
 
-def _num(value: float) -> float:
-    return float(value)
+def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **sections) -> int:
+    """End a run: write each output stamped with the manifest digest, then the manifest.
+
+    ``outputs`` maps each output key to ``(basename, writer, *data)``, and
+    each file is written as ``writer(path, *data, manifest_digest=...)``.
+    ``sections`` are further top-level manifest entries. Prints the output
+    paths in key order.
+    """
+    out_dir = args.out
+    if out_dir and not os.path.isdir(out_dir):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IOFailure(f"cannot create output directory {out_dir}: {exc}") from exc
+    manifest = {
+        "format": fileio.MANIFEST_FORMAT,
+        "command": args.command,
+        "package_version": __version__,
+        "arguments": arguments,
+        **sections,
+        "outputs": {key: basename for key, (basename, *_) in outputs.items()},
+    }
+    digest = fileio.manifest_digest(manifest)
+    for basename, writer, *data in outputs.values():
+        writer(os.path.join(out_dir, basename), *data, manifest_digest=digest)
+    fileio.write_manifest(os.path.join(out_dir, manifest_name), manifest)
+    for key in sorted(outputs):
+        print(os.path.join(out_dir, outputs[key][0]))
+    return 0
 
 
 # --- generate -----------------------------------------------------------
 
 
-def _segment_geometry(start, end, span) -> dict:
-    return {
-        "start": [float(start[0]), float(start[1])],
-        "end": [float(end[0]), float(end[1])],
-        "span": float(span),
-    }
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
     seed = int(args.seed)
     fraction = float(args.missing_fraction)
     scenario_id = args.scenario
@@ -192,189 +198,90 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if fraction != 0.0 and scenario_id != "rednoise":
         raise UsageError("--missing-fraction only applies to the rednoise scenario")
     prefix = f"{scenario_id}-seed{seed}"
-    manifest: dict = {
-        "format": fileio.MANIFEST_FORMAT,
-        "command": "generate",
-        "package_version": __version__,
-        "arguments": {
-            "scenario": scenario_id,
-            "seed": seed,
-            "missing_fraction": fraction,
-        },
-    }
-    outputs: dict = {}
+    sections: dict = {}
 
     if scenario_id == "rednoise":
         sc = gen_scalar_rednoise(seed)
-        times, values, weights = (
-            sc.times,
-            sc.observations.values,
-            sc.observations.weights,
-        )
-        keep_note = None
+        obs = sc.observations
         if fraction > 0.0:
-            from .scenarios import apply_missing
-
-            thinned, keep = apply_missing(sc.observations, fraction, seed)
-            times = thinned.grid.times
-            values, weights = thinned.values, thinned.weights
-            keep_note = [int(k) for k in keep]
-        outputs = {
-            "observations": f"{prefix}-observations.csv",
-            "truth": f"{prefix}-truth.csv",
-        }
-        manifest["scenario"] = dict(sc.parameters())
-        if keep_note is not None:
-            manifest["scenario"]["retained_indices"] = keep_note
-        manifest["outputs"] = outputs
-        digest = fileio.manifest_digest(manifest)
-        fileio.write_scalar_observations(
-            os.path.join(out_dir, outputs["observations"]),
-            times, values, weights, manifest_digest=digest,
-        )
-        fileio.write_truth(
-            os.path.join(out_dir, outputs["truth"]),
-            sc.times, sc.truth, manifest_digest=digest,
-        )
+            obs, keep = apply_missing(obs, fraction, seed)
+        outputs = {"observations": (
+            f"{prefix}-observations.csv", fileio.write_scalar_observations,
+            obs.grid.times, obs.values, obs.weights,
+        )}
     elif scenario_id == "planar":
         sc = gen_planar_path(seed)
-        outputs = {
-            "observations": f"{prefix}-observations.csv",
-            "truth": f"{prefix}-truth.csv",
-        }
-        manifest["scenario"] = dict(sc.parameters())
-        manifest["outputs"] = outputs
-        digest = fileio.manifest_digest(manifest)
-        fileio.write_vector_observations(
-            os.path.join(out_dir, outputs["observations"]),
-            sc.times, sc.observations.values, sc.observations.informations,
-            manifest_digest=digest,
-        )
-        fileio.write_truth(
-            os.path.join(out_dir, outputs["truth"]),
-            sc.times, sc.truth, manifest_digest=digest,
-        )
+        obs = sc.observations
+        outputs = {"observations": (
+            f"{prefix}-observations.csv", fileio.write_vector_observations,
+            sc.times, obs.values, obs.informations,
+        )}
     elif scenario_id == "sonar":
         sc = gen_two_sensor_bearings(seed)
-        span = float(sc.times[-1])
-        outputs = {
-            "bearings": f"{prefix}-bearings.csv",
-            "sensors": f"{prefix}-sensors.csv",
-            "truth": f"{prefix}-truth.csv",
-        }
-        manifest["scenario"] = dict(sc.parameters())
-        manifest["geometry"] = {
-            "kind": "two-bearings",
-            "site_a": _segment_geometry([-3.0, 3.0], [3.0, 1.0], span),
-            "site_b": _segment_geometry([-3.0, -2.0], [3.0, -1.0], span),
-        }
-        manifest["outputs"] = outputs
-        digest = fileio.manifest_digest(manifest)
         variances = np.full((sc.times.size, 2), sc.bearing_noise_sd**2)
-        fileio.write_bearings(
-            os.path.join(out_dir, outputs["bearings"]),
-            sc.times, sc.bearings, variances, manifest_digest=digest,
-        )
-        track_a = np.stack([sc.site_a.at(t) for t in sc.times])
-        track_b = np.stack([sc.site_b.at(t) for t in sc.times])
-        fileio.write_sensor_tracks(
-            os.path.join(out_dir, outputs["sensors"]),
-            sc.times, track_a, track_b, manifest_digest=digest,
-        )
-        fileio.write_truth(
-            os.path.join(out_dir, outputs["truth"]),
-            sc.times, sc.truth, manifest_digest=digest,
-        )
+        tracks = [np.stack([site.at(t) for t in sc.times]) for site in (sc.site_a, sc.site_b)]
+        outputs = {
+            "bearings": (f"{prefix}-bearings.csv", fileio.write_bearings,
+                         sc.times, sc.bearings, variances),
+            "sensors": (f"{prefix}-sensors.csv", fileio.write_sensor_tracks,
+                        sc.times, *tracks),
+        }
+        sections["geometry"] = sc.geometry()
     else:
         sc = gen_range_bearing(seed)
-        outputs = {
-            "readings": f"{prefix}-polar.csv",
-            "truth": f"{prefix}-truth.csv",
-        }
-        manifest["scenario"] = dict(sc.parameters())
-        manifest["geometry"] = {
-            "kind": "range-bearing",
-            "site": [float(sc.site.position[0]), float(sc.site.position[1])],
-        }
-        manifest["outputs"] = outputs
-        digest = fileio.manifest_digest(manifest)
-        fileio.write_polar_observations(
-            os.path.join(out_dir, outputs["readings"]),
-            sc.times, sc.observations, manifest_digest=digest,
-        )
-        fileio.write_truth(
-            os.path.join(out_dir, outputs["truth"]),
-            sc.times, sc.truth, manifest_digest=digest,
-        )
+        outputs = {"readings": (
+            f"{prefix}-polar.csv", fileio.write_polar_observations,
+            sc.times, sc.observations,
+        )}
+        sections["geometry"] = sc.geometry()
 
-    fileio.write_manifest(os.path.join(out_dir, f"{prefix}-manifest.json"), manifest)
-    for name in sorted(outputs):
-        print(os.path.join(out_dir, outputs[name]))
-    return 0
+    outputs["truth"] = (f"{prefix}-truth.csv", fileio.write_truth, sc.times, sc.truth)
+    sections["scenario"] = dict(sc.parameters())
+    if fraction > 0.0:
+        sections["scenario"]["retained_indices"] = [int(k) for k in keep]
+    arguments = {"scenario": scenario_id, "seed": seed, "missing_fraction": fraction}
+    return _publish(args, arguments, f"{prefix}-manifest.json", outputs, **sections)
 
 
 # --- filter ---------------------------------------------------------------
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
     table = fileio.read_table(args.observations)
-    stem = _stem(args.observations)
     if table.schema == fileio.SCHEMA_SCALAR_OBS:
-        series = fileio.read_scalar_observations(args.observations)
-        solve = solve_scalar
+        series, solve = fileio._scalar_series(table), solve_scalar
     elif table.schema == fileio.SCHEMA_VECTOR_OBS:
-        series = fileio.read_vector_observations(args.observations)
-        solve = solve_vector
+        series, solve = fileio._vector_series(table), solve_vector
     else:
         raise SchemaError(
             f"{args.observations} holds schema {table.schema!r}; "
             "filter accepts scalar or vector observation tables"
         )
 
-    manifest: dict = {
-        "format": fileio.MANIFEST_FORMAT,
-        "command": "filter",
-        "package_version": __version__,
-        "arguments": {
-            "observations": os.path.basename(args.observations),
-            "bracket": [float(args.bracket[0]), float(args.bracket[1])],
-        },
-    }
+    bracket = [float(args.bracket[0]), float(args.bracket[1])]
+    arguments = {"observations": os.path.basename(args.observations), "bracket": bracket}
+    sections: dict = {}
     if args.eta is not None:
-        eta = float(args.eta)
-        manifest["arguments"]["eta"] = eta
+        eta = arguments["eta"] = float(args.eta)
         tag = f"eta{eta:g}"
-        trajectory = solve(series, eta)
     else:
-        xi_target = float(args.xi)
-        manifest["arguments"]["xi"] = xi_target
+        xi_target = arguments["xi"] = float(args.xi)
         tag = f"xi{xi_target:g}"
-        found = search_eta(
-            series, xi_target, float(args.bracket[0]), float(args.bracket[1])
-        )
-        trajectory = solve(series, found.eta)
-        manifest["search"] = {
-            "eta": _num(found.eta),
-            "xi": _num(found.xi),
+        found = search_eta(series, xi_target, *bracket)
+        eta = found.eta
+        sections["search"] = {
+            "eta": float(found.eta),
+            "xi": float(found.xi),
             "iterations": int(found.iterations),
         }
-    manifest["result"] = {
-        "rms_acceleration": _num(rms_acceleration(trajectory)),
+    trajectory = solve(series, eta)
+    sections["result"] = {
+        "rms_acceleration": float(rms_acceleration(trajectory)),
         "rank": int(trajectory.rank),
     }
-    outputs = {"trajectory": f"{stem}-{tag}-trajectory.csv"}
-    manifest["outputs"] = outputs
-    digest = fileio.manifest_digest(manifest)
-    fileio.write_trajectory(
-        os.path.join(out_dir, outputs["trajectory"]),
-        trajectory, manifest_digest=digest,
-    )
-    fileio.write_manifest(
-        os.path.join(out_dir, f"{stem}-{tag}-manifest.json"), manifest
-    )
-    print(os.path.join(out_dir, outputs["trajectory"]))
-    return 0
+    stem = f"{_stem(args.observations)}-{tag}"
+    outputs = {"trajectory": (f"{stem}-trajectory.csv", fileio.write_trajectory, trajectory)}
+    return _publish(args, arguments, f"{stem}-manifest.json", outputs, **sections)
 
 
 # --- track ----------------------------------------------------------------
@@ -393,10 +300,25 @@ def _nan_point(time: float, dim: int, weight: float, usable: int) -> TrackPoint:
     )
 
 
+def _scalar_feed(table: fileio.Table) -> list:
+    """One ``(time, (value, weight))`` pair per row, or ``(time, None)`` for a gap.
+
+    An empty value cell or a zero weight marks a gap.
+    """
+    times, values, weights = fileio._columns(table)
+    feed = []
+    for i, (t, value, weight) in enumerate(zip(times, values, weights)):
+        if not 0.0 <= weight < math.inf:
+            raise SchemaError(
+                f"weight must be finite and non-negative, got {weight}",
+                row=i, column="weight",
+            )
+        feed.append((t, None if math.isnan(value) or weight == 0.0 else (value, weight)))
+    return feed
+
+
 def cmd_track(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
     table = fileio.read_table(args.stream)
-    stem = _stem(args.stream)
     config = TrackerConfig(
         eta=float(args.eta),
         window=args.window,
@@ -405,65 +327,45 @@ def cmd_track(args: argparse.Namespace) -> int:
         drop_weight=float(args.drop_weight),
     )
     tracker = SequentialTracker(config)
-    points: list[TrackPoint] = []
 
     if table.schema == fileio.SCHEMA_SCALAR_OBS:
-        times = table.floats("t")
-        values = table.floats("value")
-        weights = table.floats("weight")
         dim = 1
-        feed = [
-            (times[i], None if math.isnan(values[i]) else (values[i], weights[i]))
-            for i in range(len(times))
-        ]
-        step = lambda t, payload: (
-            tracker.step(t, None)
-            if payload is None
-            else tracker.step_scalar(t, payload[0], payload[1])
+        feed = _scalar_feed(table)
+        step = lambda t, fix: (
+            tracker.step(t, None) if fix is None else tracker.step_scalar(t, *fix)
         )
-        raw_weight = lambda payload: 0.0 if payload is None else 1.0
+        raw_weight = lambda fix: 0.0 if fix is None else 1.0
     elif table.schema == fileio.SCHEMA_RAW_ESTIMATES:
-        times, estimates = fileio.read_raw_estimates(args.stream)
         dim = 2
-        feed = list(zip(times, estimates))
+        feed = list(zip(*fileio._raw_estimates(table)))
         step = tracker.step
-        raw_weight = lambda est: 0.0 if est is None else float(est.weight)
+        raw_weight = lambda est: float(est.weight)
     else:
         raise SchemaError(
             f"{args.stream} holds schema {table.schema!r}; track accepts "
             "scalar observation or raw position estimate tables"
         )
 
-    for i, (t, payload) in enumerate(feed):
+    points: list[TrackPoint] = []
+    for i, (t, fix) in enumerate(feed):
         try:
-            points.append(step(t, payload))
+            points.append(step(t, fix))
         except WindowTooSparse:
-            points.append(_nan_point(t, dim, raw_weight(payload), tracker.usable_count))
+            points.append(_nan_point(t, dim, raw_weight(fix), tracker.usable_count))
         except OutOfOrderTimestamp as exc:
             raise OutOfOrderTimestamp(f"{exc} (row {i})") from None
 
-    manifest: dict = {
-        "format": fileio.MANIFEST_FORMAT,
-        "command": "track",
-        "package_version": __version__,
-        "arguments": {
-            "stream": os.path.basename(args.stream),
-            "eta": _num(config.eta),
-            "window": config.window,
-            "policy": config.policy,
-            "gamma": _num(config.forecast_info_scale),
-            "drop_weight": _num(config.drop_weight),
-        },
+    arguments = {
+        "stream": os.path.basename(args.stream),
+        "eta": config.eta,
+        "window": config.window,
+        "policy": config.policy,
+        "gamma": config.forecast_info_scale,
+        "drop_weight": config.drop_weight,
     }
-    outputs = {"estimates": f"{stem}-track.csv"}
-    manifest["outputs"] = outputs
-    digest = fileio.manifest_digest(manifest)
-    fileio.write_track_points(
-        os.path.join(out_dir, outputs["estimates"]), points, manifest_digest=digest
-    )
-    fileio.write_manifest(os.path.join(out_dir, f"{stem}-track-manifest.json"), manifest)
-    print(os.path.join(out_dir, outputs["estimates"]))
-    return 0
+    stem = _stem(args.stream)
+    outputs = {"estimates": (f"{stem}-track.csv", fileio.write_track_points, points)}
+    return _publish(args, arguments, f"{stem}-track-manifest.json", outputs)
 
 
 # --- transform --------------------------------------------------------------
@@ -500,48 +402,37 @@ def _site_from_geometry(entry: dict, what: str) -> SensorSite:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    out_dir = _ensure_out_dir(args.out)
     geometry_doc = fileio.read_json(args.geometry)
     geometry = geometry_doc.get("geometry", geometry_doc)
     if not isinstance(geometry, dict):
         raise SchemaError("geometry must be an object")
     kind = geometry.get("kind")
-    stem = _stem(args.readings)
-    estimates = []
 
     if kind == "range-bearing":
         site = SensorSite(_coordinates(_geometry_entry(geometry, "site"), "site"))
         times, observations = fileio.read_polar_observations(args.readings)
-        for i, obs in enumerate(observations):
-            estimates.append(
-                range_bearing_to_position(site, obs, args.mode, time=float(times[i]))
-            )
+        estimates = [
+            range_bearing_to_position(site, obs, args.mode, time=float(t))
+            for t, obs in zip(times, observations)
+        ]
     elif kind == "two-bearings":
         site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
         times, bearings, variances = fileio.read_bearings(args.readings)
-        for i, t in enumerate(times):
-            estimates.append(
-                two_bearings_to_position(
-                    site_a, site_b,
-                    bearings[i, 0], bearings[i, 1],
-                    variances[i, 0], variances[i, 1],
-                    time=float(t),
-                )
-            )
+        estimates = [
+            two_bearings_to_position(site_a, site_b, *pair, *variance, time=float(t))
+            for t, pair, variance in zip(times, bearings, variances)
+        ]
     elif kind == "two-ranges":
         site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
-        hint = _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator")
+        previous = _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator")
         times, ranges, variances = fileio.read_range_pairs(args.readings)
-        previous = hint
-        for i, t in enumerate(times):
+        estimates = []
+        for t, pair, (variance_a, variance_b) in zip(times, ranges, variances):
             est = two_ranges_to_position(
-                site_a, site_b,
-                ranges[i, 0], ranges[i, 1],
-                previous,
-                variance_a=variances[i, 0], variance_b=variances[i, 1],
-                time=float(t),
+                site_a, site_b, *pair, previous,
+                variance_a=variance_a, variance_b=variance_b, time=float(t),
             )
             estimates.append(est)
             if est.provenance != PROVENANCE_DROPPED:
@@ -552,61 +443,36 @@ def cmd_transform(args: argparse.Namespace) -> int:
             "two-bearings, or two-ranges"
         )
 
-    manifest: dict = {
-        "format": fileio.MANIFEST_FORMAT,
-        "command": "transform",
-        "package_version": __version__,
-        "arguments": {
-            "readings": os.path.basename(args.readings),
-            "geometry": os.path.basename(args.geometry),
-            "mode": args.mode,
-        },
-        "geometry": geometry,
+    arguments = {
+        "readings": os.path.basename(args.readings),
+        "geometry": os.path.basename(args.geometry),
+        "mode": args.mode,
     }
-    outputs = {"estimates": f"{stem}-raw-estimates.csv"}
-    manifest["outputs"] = outputs
-    digest = fileio.manifest_digest(manifest)
-    fileio.write_raw_estimates(
-        os.path.join(out_dir, outputs["estimates"]),
-        times, estimates, manifest_digest=digest,
+    stem = _stem(args.readings)
+    outputs = {
+        "estimates": (f"{stem}-raw-estimates.csv", fileio.write_raw_estimates, times, estimates)
+    }
+    return _publish(
+        args, arguments, f"{stem}-transform-manifest.json", outputs, geometry=geometry
     )
-    fileio.write_manifest(
-        os.path.join(out_dir, f"{stem}-transform-manifest.json"), manifest
-    )
-    print(os.path.join(out_dir, outputs["estimates"]))
-    return 0
 
 
 # --- entry point -------------------------------------------------------------
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "filter": cmd_filter,
-        "track": cmd_track,
-        "transform": cmd_transform,
-    }
-    return handlers[args.command](args)
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return run(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DataError, IOFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ShadowTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, UsageError):
+            return 2
+        return 4 if isinstance(exc, NumericalError) else 3
 
 
 if __name__ == "__main__":

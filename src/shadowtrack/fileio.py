@@ -11,6 +11,11 @@ and absent on hand-made inputs. Floats are serialized with ``repr`` (the
 shortest round-trip form); NaN becomes an empty cell. Manifests and
 scenario configs are JSON with sorted keys, so a rerun with identical
 inputs reproduces every output byte for byte.
+
+The column table ``_COLUMNS`` is the single source of each fixed CSV
+layout: writers emit its names as the header and readers look the same
+names up. Trajectory and track files name their columns from the data's
+dimension, ``p`` for scalar data and ``px, py`` for planar data.
 """
 
 from __future__ import annotations
@@ -217,6 +222,75 @@ def write_manifest(path: str, manifest: Mapping[str, object]) -> str:
     return digest
 
 
+# --- schema layouts -------------------------------------------------------
+
+_COLUMNS = {
+    SCHEMA_SCALAR_OBS: ("t", "value", "weight"),
+    SCHEMA_VECTOR_OBS: ("t", "x", "y", "ixx", "ixy", "iyy"),
+    SCHEMA_SCALAR_TRUTH: ("t", "value"),
+    SCHEMA_PLANAR_TRUTH: ("t", "x", "y"),
+    SCHEMA_BEARINGS: ("t", "bearing_a", "bearing_b", "variance_a", "variance_b"),
+    SCHEMA_SENSOR_TRACKS: ("t", "ax", "ay", "bx", "by"),
+    SCHEMA_POLAR_OBS: ("t", "range", "bearing", "range_variance", "bearing_variance"),
+    SCHEMA_RANGE_PAIRS: ("t", "range_a", "range_b", "variance_a", "variance_b"),
+    SCHEMA_RAW_ESTIMATES: ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
+}
+_TEXT_COLUMNS = ("provenance",)
+
+
+def _axes(prefix: str, dim: int) -> Tuple[str, ...]:
+    """Column names of a d-component quantity: ``p`` for d = 1, ``px, py`` for d = 2."""
+    return (prefix,) if dim == 1 else (prefix + "x", prefix + "y")
+
+
+def _write_columns(
+    path: str,
+    schema: str,
+    arrays: Sequence[object],
+    manifest_digest: Optional[str],
+    names: Optional[Sequence[str]] = None,
+) -> None:
+    """Write ``arrays`` as the columns of a table, named by ``_COLUMNS``.
+
+    A 1-D array or a list is one column; an (n, k) array, or a list of
+    length-k vectors, is k columns.
+    """
+    columns: list = []
+    for array in arrays:
+        columns.extend(np.asarray(array).T if np.ndim(array) == 2 else [array])
+    if len({len(column) for column in columns}) > 1:
+        raise SchemaError(f"the columns of a {schema} table differ in length")
+    write_table(
+        path, schema, names or _COLUMNS[schema], zip(*columns),
+        manifest_digest=manifest_digest,
+    )
+
+
+def _columns(table: Table) -> list:
+    """The columns of ``table`` in the order its schema lays them out."""
+    return [
+        table.strings(name) if name in _TEXT_COLUMNS else table.floats(name)
+        for name in _COLUMNS[table.schema]
+    ]
+
+
+def _pairs(columns: Sequence[np.ndarray]) -> tuple:
+    """The time column, then each following pair of columns as an (n, 2) array."""
+    times, *rest = columns
+    return (times, *(np.column_stack(rest[i : i + 2]) for i in range(0, len(rest), 2)))
+
+
+def _information_columns(informations) -> Tuple[np.ndarray, ...]:
+    """The ixx, ixy, iyy columns of a stack of symmetric 2x2 information matrices."""
+    info = np.reshape(informations, (-1, 2, 2))
+    return info[:, 0, 0], info[:, 0, 1], info[:, 1, 1]
+
+
+def _informations(ixx: np.ndarray, ixy: np.ndarray, iyy: np.ndarray) -> np.ndarray:
+    """Symmetric 2x2 information matrices from their ixx, ixy, iyy columns."""
+    return np.stack([np.stack([ixx, ixy], -1), np.stack([ixy, iyy], -1)], -2)
+
+
 # --- scenario and solver series ----------------------------------------
 
 
@@ -228,19 +302,17 @@ def write_scalar_observations(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = zip(times, values, weights)
-    write_table(
-        path, SCHEMA_SCALAR_OBS, ("t", "value", "weight"), rows,
-        manifest_digest=manifest_digest,
-    )
+    _write_columns(path, SCHEMA_SCALAR_OBS, (times, values, weights), manifest_digest)
 
 
 def read_scalar_observations(path: str) -> ScalarObservationSeries:
-    table = read_table(path, expect_schema=SCHEMA_SCALAR_OBS)
+    return _scalar_series(read_table(path, expect_schema=SCHEMA_SCALAR_OBS))
+
+
+def _scalar_series(table: Table) -> ScalarObservationSeries:
+    times, values, weights = _columns(table)
     return ScalarObservationSeries(
-        grid=build_time_grid(table.floats("t")),
-        values=table.floats("value"),
-        weights=table.floats("weight"),
+        grid=build_time_grid(times), values=values, weights=weights
     )
 
 
@@ -252,33 +324,22 @@ def write_vector_observations(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (
-            times[i],
-            values[i, 0],
-            values[i, 1],
-            informations[i, 0, 0],
-            informations[i, 0, 1],
-            informations[i, 1, 1],
-        )
-        for i in range(len(times))
-    )
-    write_table(
-        path, SCHEMA_VECTOR_OBS, ("t", "x", "y", "ixx", "ixy", "iyy"), rows,
-        manifest_digest=manifest_digest,
+    _write_columns(
+        path, SCHEMA_VECTOR_OBS,
+        (times, values, *_information_columns(informations)), manifest_digest,
     )
 
 
 def read_vector_observations(path: str) -> VectorObservationSeries:
-    table = read_table(path, expect_schema=SCHEMA_VECTOR_OBS)
-    times = table.floats("t")
-    values = np.column_stack([table.floats("x"), table.floats("y")])
-    ixx, ixy, iyy = table.floats("ixx"), table.floats("ixy"), table.floats("iyy")
-    informations = np.stack(
-        [np.array([[ixx[i], ixy[i]], [ixy[i], iyy[i]]]) for i in range(len(times))]
-    )
+    return _vector_series(read_table(path, expect_schema=SCHEMA_VECTOR_OBS))
+
+
+def _vector_series(table: Table) -> VectorObservationSeries:
+    times, x, y, ixx, ixy, iyy = _columns(table)
     return VectorObservationSeries(
-        grid=build_time_grid(times), values=values, informations=informations
+        grid=build_time_grid(times),
+        values=np.column_stack([x, y]),
+        informations=_informations(ixx, ixy, iyy),
     )
 
 
@@ -290,29 +351,16 @@ def write_truth(
     manifest_digest: Optional[str] = None,
 ) -> None:
     truth = np.asarray(truth, dtype=float)
-    if truth.ndim == 1:
-        write_table(
-            path, SCHEMA_SCALAR_TRUTH, ("t", "value"), zip(times, truth),
-            manifest_digest=manifest_digest,
-        )
-    else:
-        write_table(
-            path,
-            SCHEMA_PLANAR_TRUTH,
-            ("t", "x", "y"),
-            ((times[i], truth[i, 0], truth[i, 1]) for i in range(len(times))),
-            manifest_digest=manifest_digest,
-        )
+    schema = SCHEMA_SCALAR_TRUTH if truth.ndim == 1 else SCHEMA_PLANAR_TRUTH
+    _write_columns(path, schema, (times, truth), manifest_digest)
 
 
 def read_truth(path: str) -> Tuple[np.ndarray, np.ndarray]:
     table = read_table(path)
     if table.schema == SCHEMA_SCALAR_TRUTH:
-        return table.floats("t"), table.floats("value")
+        return tuple(_columns(table))
     if table.schema == SCHEMA_PLANAR_TRUTH:
-        return table.floats("t"), np.column_stack(
-            [table.floats("x"), table.floats("y")]
-        )
+        return _pairs(_columns(table))
     raise SchemaError(f"{path} holds schema {table.schema!r}, expected a truth table")
 
 
@@ -324,29 +372,11 @@ def write_bearings(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (times[i], bearings[i, 0], bearings[i, 1], variances[i, 0], variances[i, 1])
-        for i in range(len(times))
-    )
-    write_table(
-        path,
-        SCHEMA_BEARINGS,
-        ("t", "bearing_a", "bearing_b", "variance_a", "variance_b"),
-        rows,
-        manifest_digest=manifest_digest,
-    )
+    _write_columns(path, SCHEMA_BEARINGS, (times, bearings, variances), manifest_digest)
 
 
 def read_bearings(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = read_table(path, expect_schema=SCHEMA_BEARINGS)
-    times = table.floats("t")
-    bearings = np.column_stack(
-        [table.floats("bearing_a"), table.floats("bearing_b")]
-    )
-    variances = np.column_stack(
-        [table.floats("variance_a"), table.floats("variance_b")]
-    )
-    return times, bearings, variances
+    return _pairs(_columns(read_table(path, expect_schema=SCHEMA_BEARINGS)))
 
 
 def write_sensor_tracks(
@@ -357,28 +387,13 @@ def write_sensor_tracks(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (
-            times[i],
-            positions_a[i, 0],
-            positions_a[i, 1],
-            positions_b[i, 0],
-            positions_b[i, 1],
-        )
-        for i in range(len(times))
-    )
-    write_table(
-        path, SCHEMA_SENSOR_TRACKS, ("t", "ax", "ay", "bx", "by"), rows,
-        manifest_digest=manifest_digest,
+    _write_columns(
+        path, SCHEMA_SENSOR_TRACKS, (times, positions_a, positions_b), manifest_digest
     )
 
 
 def read_sensor_tracks(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = read_table(path, expect_schema=SCHEMA_SENSOR_TRACKS)
-    times = table.floats("t")
-    positions_a = np.column_stack([table.floats("ax"), table.floats("ay")])
-    positions_b = np.column_stack([table.floats("bx"), table.floats("by")])
-    return times, positions_a, positions_b
+    return _pairs(_columns(read_table(path, expect_schema=SCHEMA_SENSOR_TRACKS)))
 
 
 def write_polar_observations(
@@ -388,44 +403,21 @@ def write_polar_observations(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (
-            times[i],
-            obs.distance,
-            obs.bearing,
-            obs.distance_variance,
-            obs.bearing_variance,
-        )
-        for i, obs in enumerate(observations)
-    )
-    write_table(
-        path,
-        SCHEMA_POLAR_OBS,
-        ("t", "range", "bearing", "range_variance", "bearing_variance"),
-        rows,
-        manifest_digest=manifest_digest,
+    readings = [
+        (obs.distance, obs.bearing, obs.distance_variance, obs.bearing_variance)
+        for obs in observations
+    ]
+    _write_columns(
+        path, SCHEMA_POLAR_OBS, (times, np.reshape(readings, (-1, 4))), manifest_digest
     )
 
 
 def read_polar_observations(
     path: str,
 ) -> Tuple[np.ndarray, Tuple[PolarObservation, ...]]:
-    table = read_table(path, expect_schema=SCHEMA_POLAR_OBS)
-    times = table.floats("t")
-    ranges = table.floats("range")
-    bearings = table.floats("bearing")
-    var_r = table.floats("range_variance")
-    var_b = table.floats("bearing_variance")
-    observations = tuple(
-        PolarObservation(
-            distance=ranges[i],
-            bearing=bearings[i],
-            distance_variance=var_r[i],
-            bearing_variance=var_b[i],
-        )
-        for i in range(len(times))
-    )
-    return times, observations
+    times, *readings = _columns(read_table(path, expect_schema=SCHEMA_POLAR_OBS))
+    # The columns follow PolarObservation's field order.
+    return times, tuple(PolarObservation(*row) for row in zip(*readings))
 
 
 def write_range_pairs(
@@ -436,27 +428,11 @@ def write_range_pairs(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (times[i], ranges[i, 0], ranges[i, 1], variances[i, 0], variances[i, 1])
-        for i in range(len(times))
-    )
-    write_table(
-        path,
-        SCHEMA_RANGE_PAIRS,
-        ("t", "range_a", "range_b", "variance_a", "variance_b"),
-        rows,
-        manifest_digest=manifest_digest,
-    )
+    _write_columns(path, SCHEMA_RANGE_PAIRS, (times, ranges, variances), manifest_digest)
 
 
 def read_range_pairs(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = read_table(path, expect_schema=SCHEMA_RANGE_PAIRS)
-    times = table.floats("t")
-    ranges = np.column_stack([table.floats("range_a"), table.floats("range_b")])
-    variances = np.column_stack(
-        [table.floats("variance_a"), table.floats("variance_b")]
-    )
-    return times, ranges, variances
+    return _pairs(_columns(read_table(path, expect_schema=SCHEMA_RANGE_PAIRS)))
 
 
 def write_trajectory(
@@ -471,46 +447,24 @@ def write_trajectory(
     cells are empty; a sqrt(eta)-scaled copy rides along for plots that
     compare acceleration traces across smoothing strengths.
     """
-    times = trajectory.grid.times
-    scale = math.sqrt(trajectory.eta)
-    count = times.size
-    if trajectory.dim == 1:
-        names = ("t", "p", "v", "a", "a_scaled")
-        rows = []
-        for i in range(count):
-            accel = trajectory.accelerations[i] if i < count - 1 else math.nan
-            rows.append(
-                (
-                    times[i],
-                    trajectory.positions[i],
-                    trajectory.velocities[i],
-                    accel,
-                    accel * scale,
-                )
-            )
-        write_table(path, SCHEMA_TRAJECTORY, names, rows, manifest_digest=manifest_digest)
-        return
-    names = ("t", "px", "py", "vx", "vy", "ax", "ay", "ax_scaled", "ay_scaled")
-    rows = []
-    for i in range(count):
-        if i < count - 1:
-            ax, ay = trajectory.accelerations[i]
-        else:
-            ax, ay = math.nan, math.nan
-        rows.append(
-            (
-                times[i],
-                trajectory.positions[i, 0],
-                trajectory.positions[i, 1],
-                trajectory.velocities[i, 0],
-                trajectory.velocities[i, 1],
-                ax,
-                ay,
-                ax * scale,
-                ay * scale,
-            )
-        )
-    write_table(path, SCHEMA_TRAJECTORY, names, rows, manifest_digest=manifest_digest)
+    count, dim = trajectory.grid.times.size, trajectory.dim
+    accel = np.append(
+        np.reshape(trajectory.accelerations, (count - 1, dim)),
+        np.full((1, dim), math.nan),
+        axis=0,
+    )
+    names = (
+        "t", *_axes("p", dim), *_axes("v", dim), *_axes("a", dim),
+        *(name + "_scaled" for name in _axes("a", dim)),
+    )
+    columns = (
+        trajectory.grid.times,
+        np.reshape(trajectory.positions, (count, dim)),
+        np.reshape(trajectory.velocities, (count, dim)),
+        accel,
+        accel * math.sqrt(trajectory.eta),
+    )
+    _write_columns(path, SCHEMA_TRAJECTORY, columns, manifest_digest, names)
 
 
 def write_track_points(
@@ -522,41 +476,20 @@ def write_track_points(
     if not points:
         raise SchemaError("no track points to write")
     dim = points[0].position.size
-    if dim == 1:
-        names = ("t", "p", "v", "a", "weight", "provenance", "usable_points")
-        rows = (
-            (
-                pt.time,
-                pt.position[0],
-                pt.velocity[0],
-                pt.acceleration[0],
-                pt.weight,
-                pt.provenance,
-                pt.usable_points,
-            )
-            for pt in points
-        )
-    else:
-        names = (
-            "t", "px", "py", "vx", "vy", "ax", "ay",
-            "weight", "provenance", "usable_points",
-        )
-        rows = (
-            (
-                pt.time,
-                pt.position[0],
-                pt.position[1],
-                pt.velocity[0],
-                pt.velocity[1],
-                pt.acceleration[0],
-                pt.acceleration[1],
-                pt.weight,
-                pt.provenance,
-                pt.usable_points,
-            )
-            for pt in points
-        )
-    write_table(path, SCHEMA_TRACK, names, rows, manifest_digest=manifest_digest)
+    names = (
+        "t", *_axes("p", dim), *_axes("v", dim), *_axes("a", dim),
+        "weight", "provenance", "usable_points",
+    )
+    columns = (
+        [pt.time for pt in points],
+        [pt.position for pt in points],
+        [pt.velocity for pt in points],
+        [pt.acceleration for pt in points],
+        [pt.weight for pt in points],
+        [pt.provenance for pt in points],
+        [pt.usable_points for pt in points],
+    )
+    _write_columns(path, SCHEMA_TRACK, columns, manifest_digest, names)
 
 
 def write_raw_estimates(
@@ -566,50 +499,31 @@ def write_raw_estimates(
     *,
     manifest_digest: Optional[str] = None,
 ) -> None:
-    rows = (
-        (
-            times[i],
-            est.position[0],
-            est.position[1],
-            est.information[0, 0],
-            est.information[0, 1],
-            est.information[1, 1],
-            est.weight,
-            est.provenance,
-        )
-        for i, est in enumerate(estimates)
+    columns = (
+        times,
+        [est.position for est in estimates],
+        *_information_columns([est.information for est in estimates]),
+        [est.weight for est in estimates],
+        [est.provenance for est in estimates],
     )
-    write_table(
-        path,
-        SCHEMA_RAW_ESTIMATES,
-        ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
-        rows,
-        manifest_digest=manifest_digest,
-    )
+    _write_columns(path, SCHEMA_RAW_ESTIMATES, columns, manifest_digest)
 
 
 def read_raw_estimates(
     path: str,
 ) -> Tuple[np.ndarray, Tuple[RawPositionEstimate, ...]]:
-    table = read_table(path, expect_schema=SCHEMA_RAW_ESTIMATES)
-    times = table.floats("t")
-    xs, ys = table.floats("x"), table.floats("y")
-    ixx, ixy, iyy = table.floats("ixx"), table.floats("ixy"), table.floats("iyy")
-    ws = table.floats("w")
-    provenance = table.strings("provenance")
-    estimates = []
-    for i in range(len(times)):
-        label = provenance[i]
+    return _raw_estimates(read_table(path, expect_schema=SCHEMA_RAW_ESTIMATES))
+
+
+def _raw_estimates(table: Table) -> Tuple[np.ndarray, Tuple[RawPositionEstimate, ...]]:
+    times, x, y, ixx, ixy, iyy, weights, provenance = _columns(table)
+    for i, label in enumerate(provenance):
         if label not in PROVENANCE_VALUES:
             raise SchemaError(
                 f"unknown provenance {label!r}", row=i, column="provenance"
             )
-        estimates.append(
-            RawPositionEstimate(
-                position=np.array([xs[i], ys[i]]),
-                information=np.array([[ixx[i], ixy[i]], [ixy[i], iyy[i]]]),
-                weight=ws[i],
-                provenance=label,
-            )
-        )
-    return times, tuple(estimates)
+    fixes = zip(np.column_stack([x, y]), _informations(ixx, ixy, iyy), weights, provenance)
+    return times, tuple(
+        RawPositionEstimate(position=position, information=info, weight=w, provenance=label)
+        for position, info, w, label in fixes
+    )

@@ -33,6 +33,9 @@ from .solver import ScalarObservationSeries, VectorObservationSeries
 
 SCENARIO_IDS = ("rednoise", "planar", "sonar", "range-bearing")
 
+# Straight runs of the two sonar sensors, (start, end) for sites a and b.
+_SONAR_RUNS = (((-3.0, 3.0), (3.0, 1.0)), ((-3.0, -2.0), (3.0, -1.0)))
+
 
 def _check_count(count: int) -> int:
     count = int(count)
@@ -104,16 +107,26 @@ class TwoSensorBearingScenario:
     bearing_noise_sd: float
 
     def parameters(self) -> Mapping[str, object]:
+        (a_start, a_end), (b_start, b_end) = _SONAR_RUNS
         return {
             "identifier": self.identifier,
             "seed": self.seed,
             "count": int(self.times.size),
             "bearing_noise_sd": self.bearing_noise_sd,
-            "site_a_start": [-3.0, 3.0],
-            "site_a_end": [3.0, 1.0],
-            "site_b_start": [-3.0, -2.0],
-            "site_b_end": [3.0, -1.0],
+            "site_a_start": list(a_start),
+            "site_a_end": list(a_end),
+            "site_b_start": list(b_start),
+            "site_b_end": list(b_end),
         }
+
+    def geometry(self) -> Mapping[str, object]:
+        """Manifest geometry block: each site's straight run over the time span."""
+        span = float(self.times[-1])
+        sites = {
+            f"site_{name}": {"start": list(start), "end": list(end), "span": span}
+            for name, (start, end) in zip("ab", _SONAR_RUNS)
+        }
+        return {"kind": "two-bearings", **sites}
 
 
 @dataclass(frozen=True)
@@ -138,6 +151,10 @@ class RangeBearingScenario:
             "range_noise_sd": self.range_noise_sd,
             "bearing_noise_sd": self.bearing_noise_sd,
         }
+
+    def geometry(self) -> Mapping[str, object]:
+        """Manifest geometry block: the static site."""
+        return {"kind": "range-bearing", "site": self.parameters()["site"]}
 
 
 def gen_scalar_rednoise(
@@ -262,13 +279,9 @@ def gen_two_sensor_bearings(
     rng = np.random.default_rng(seed)
     times = np.arange(count, dtype=float)
     span = float(times[-1])
-    site_a = SensorSite(
-        np.array([-3.0, 3.0]),
-        path=_segment_path(np.array([-3.0, 3.0]), np.array([3.0, 1.0]), span),
-    )
-    site_b = SensorSite(
-        np.array([-3.0, -2.0]),
-        path=_segment_path(np.array([-3.0, -2.0]), np.array([3.0, -1.0]), span),
+    site_a, site_b = (
+        SensorSite(np.array(start), path=_segment_path(np.array(start), np.array(end), span))
+        for start, end in _SONAR_RUNS
     )
     truth = np.column_stack([np.sin(times / 25.0), np.cos(times / 25.0)])
     noise = bearing_noise_sd * rng.standard_normal((count, 2))

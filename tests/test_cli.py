@@ -205,12 +205,18 @@ class TestFilter:
 
 
 class TestTrack:
-    def test_scalar_stream_with_gaps(self, tmp_path):
+    # A gap row holds an empty value cell or a zero weight.
+    @pytest.mark.parametrize(
+        "gap_value, gap_weight", [(math.nan, 1.0), (99.0, 0.0)],
+        ids=["empty-value", "zero-weight"],
+    )
+    def test_scalar_stream_with_gaps(self, tmp_path, gap_value, gap_weight):
         times = np.arange(10.0)
         values = 2.0 + 3.0 * times
-        values[6] = math.nan
+        weights = np.ones(10)
+        values[6], weights[6] = gap_value, gap_weight
         obs_path = str(tmp_path / "stream.csv")
-        fileio.write_scalar_observations(obs_path, times, values, np.ones(10))
+        fileio.write_scalar_observations(obs_path, times, values, weights)
         out = str(tmp_path / "trk")
         assert run_cli("track", obs_path, "--eta", "5", "--out", out) == 0
         table = fileio.read_table(
@@ -282,6 +288,20 @@ class TestTrack:
         )
         assert run_cli("track", str(path), "--out", str(tmp_path / "trk")) == 3
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["", "-1.0", "inf"], ids=["nan", "negative", "infinite"])
+    def test_bad_weight_names_row_and_column(self, tmp_path, capsys, weight):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# schema=shadowtrack.scalar-observations.v1\n"
+            "t,value,weight\n"
+            "0.0,1.0,1.0\n"
+            f"1.0,1.0,{weight}\n"
+            "2.0,1.0,1.0\n"
+        )
+        assert run_cli("track", str(path), "--out", str(tmp_path / "trk")) == 3
+        err = capsys.readouterr().err
+        assert "row 1" in err and "'weight'" in err
 
 
 class TestTransform:
@@ -383,22 +403,44 @@ class TestTransform:
         assert named in capsys.readouterr().err
 
 
+# Each chain runs its steps in order; step k writes to "<root>/<k>", and
+# "{k}" in an argument names that directory.
+RERUN_CHAINS = {
+    "rednoise-filter": [
+        ("generate", "rednoise", "--seed", "7"),
+        ("filter", "{0}/rednoise-seed7-observations.csv", "--eta", "1000"),
+    ],
+    "sonar-transform-track": [
+        ("generate", "sonar", "--seed", "7"),
+        ("transform", "{0}/sonar-seed7-bearings.csv", "{0}/sonar-seed7-manifest.json"),
+        ("track", "{1}/sonar-seed7-bearings-raw-estimates.csv", "--window", "25"),
+    ],
+    "range-bearing-propagate-track": [
+        ("generate", "range-bearing", "--seed", "7"),
+        ("transform", "{0}/range-bearing-seed7-polar.csv",
+         "{0}/range-bearing-seed7-manifest.json", "--mode", "propagate"),
+        ("track", "{1}/range-bearing-seed7-polar-raw-estimates.csv"),
+    ],
+    "planar-filter-xi": [
+        ("generate", "planar", "--seed", "7"),
+        ("filter", "{0}/planar-seed7-observations.csv", "--xi", "0.1"),
+    ],
+}
+
+
 class TestDeterministicRerun:
-    def test_generate_then_filter_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("chain", RERUN_CHAINS.values(), ids=RERUN_CHAINS.keys())
+    def test_pipeline_rerun_is_byte_identical(self, tmp_path, chain):
         snapshots = []
         for label in ("one", "two"):
-            root = str(tmp_path / label)
-            gen_dir = os.path.join(root, "gen")
-            fit_dir = os.path.join(root, "fit")
-            assert run_cli(
-                "generate", "rednoise", "--seed", "7", "--out", gen_dir
-            ) == 0
-            obs = os.path.join(gen_dir, "rednoise-seed7-observations.csv")
-            assert run_cli("filter", obs, "--eta", "1000", "--out", fit_dir) == 0
-            merged = dir_snapshot(gen_dir)
-            merged.update(
-                {f"fit/{k}": v for k, v in dir_snapshot(fit_dir).items()}
-            )
+            dirs = [str(tmp_path / label / str(k)) for k in range(len(chain))]
+            merged = {}
+            for k, step in enumerate(chain):
+                argv = [arg.format(*dirs) for arg in step]
+                assert run_cli(*argv, "--out", dirs[k]) == 0, argv
+                merged.update(
+                    {f"{k}/{name}": data for name, data in dir_snapshot(dirs[k]).items()}
+                )
             snapshots.append(merged)
         assert snapshots[0].keys() == snapshots[1].keys()
         for name in snapshots[0]:

@@ -100,6 +100,12 @@ class TestTableLayer:
         table = fileio.read_table(path)
         assert table.rows == (("5",), ("7",))
 
+    def test_column_length_mismatch_rejected(self, tmp_path):
+        with pytest.raises(SchemaError):
+            fileio.write_range_pairs(
+                str(tmp_path / "short.csv"), np.arange(3.0), np.ones((4, 2)), np.ones((4, 2))
+            )
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
             fileio.read_table(str(tmp_path / "absent.csv"))
@@ -149,11 +155,15 @@ class TestSeriesRoundTrips:
         fileio.write_truth(p1, times, scalar)
         t_out, v_out = fileio.read_truth(p1)
         assert np.array_equal(v_out, scalar)
+        fileio.write_truth(str(tmp_path / "s2.csv"), t_out, v_out)
+        assert bytes_of(p1) == bytes_of(str(tmp_path / "s2.csv"))
         p2 = str(tmp_path / "p.csv")
         fileio.write_truth(p2, times, planar)
         t_out, v_out = fileio.read_truth(p2)
         assert v_out.shape == (4, 2)
         assert np.array_equal(v_out, planar)
+        fileio.write_truth(str(tmp_path / "p2.csv"), t_out, v_out)
+        assert bytes_of(p2) == bytes_of(str(tmp_path / "p2.csv"))
 
     def test_truth_rejects_other_schema(self, tmp_path):
         path = str(tmp_path / "obs.csv")
@@ -172,6 +182,8 @@ class TestSeriesRoundTrips:
         times, bearings, variances = fileio.read_bearings(b_path)
         assert np.array_equal(bearings, sc.bearings)
         assert np.array_equal(variances, in_variances)
+        fileio.write_bearings(str(tmp_path / "b2.csv"), times, bearings, variances)
+        assert bytes_of(b_path) == bytes_of(str(tmp_path / "b2.csv"))
         track_a = np.stack([sc.site_a.at(t) for t in sc.times])
         track_b = np.stack([sc.site_b.at(t) for t in sc.times])
         s_path = str(tmp_path / "tracks.csv")
@@ -179,6 +191,8 @@ class TestSeriesRoundTrips:
         times, pos_a, pos_b = fileio.read_sensor_tracks(s_path)
         assert np.array_equal(pos_a, track_a)
         assert np.array_equal(pos_b, track_b)
+        fileio.write_sensor_tracks(str(tmp_path / "s2.csv"), times, pos_a, pos_b)
+        assert bytes_of(s_path) == bytes_of(str(tmp_path / "s2.csv"))
 
     def test_polar_observations(self, tmp_path):
         sc = gen_range_bearing(2)
@@ -188,6 +202,8 @@ class TestSeriesRoundTrips:
         assert np.array_equal(times, sc.times)
         assert observations[3].distance == sc.observations[3].distance
         assert observations[3].bearing_variance == sc.observations[3].bearing_variance
+        fileio.write_polar_observations(str(tmp_path / "p2.csv"), times, observations)
+        assert bytes_of(path) == bytes_of(str(tmp_path / "p2.csv"))
 
     def test_range_pairs(self, tmp_path):
         times = np.arange(5.0)
@@ -198,6 +214,8 @@ class TestSeriesRoundTrips:
         t_out, r_out, v_out = fileio.read_range_pairs(path)
         assert np.array_equal(r_out, ranges)
         assert np.array_equal(v_out, variances)
+        fileio.write_range_pairs(str(tmp_path / "pairs2.csv"), t_out, r_out, v_out)
+        assert bytes_of(path) == bytes_of(str(tmp_path / "pairs2.csv"))
 
     def test_raw_estimates(self, tmp_path):
         times = np.arange(3.0)
@@ -228,6 +246,8 @@ class TestSeriesRoundTrips:
         assert loaded[1].provenance == PROVENANCE_DROPPED
         assert not loaded[1].usable
         assert loaded[2].weight == 1.0
+        fileio.write_raw_estimates(str(tmp_path / "raw2.csv"), t_out, loaded)
+        assert bytes_of(path) == bytes_of(str(tmp_path / "raw2.csv"))
 
     def test_raw_estimates_reject_unknown_provenance(self, tmp_path):
         path = tmp_path / "bad.csv"
