@@ -31,7 +31,6 @@ from .errors import (
     IndefiniteInformation,
     IOFailure,
     MaxIterations,
-    NoIntersection,
     NonIncreasingTimes,
     NonPositiveEta,
     NonSymmetricInformation,
@@ -134,7 +133,6 @@ __all__ = [
     "SingularSystem",
     "RangeTooSmall",
     "CoincidentSites",
-    "NoIntersection",
     "OutOfOrderTimestamp",
     "WindowTooSparse",
     "NoTrajectoryYet",

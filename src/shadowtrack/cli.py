@@ -301,20 +301,11 @@ def _nan_point(time: float, dim: int, weight: float, usable: int) -> TrackPoint:
 
 
 def _scalar_feed(table: fileio.Table) -> list:
-    """One ``(time, (value, weight))`` pair per row, or ``(time, None)`` for a gap.
-
-    An empty value cell or a zero weight marks a gap.
-    """
-    times, values, weights = fileio._columns(table)
-    feed = []
-    for i, (t, value, weight) in enumerate(zip(times, values, weights)):
-        if not 0.0 <= weight < math.inf:
-            raise SchemaError(
-                f"weight must be finite and non-negative, got {weight}",
-                row=i, column="weight",
-            )
-        feed.append((t, None if math.isnan(value) or weight == 0.0 else (value, weight)))
-    return feed
+    """One ``(time, (value, weight))`` pair per row, or ``(time, None)`` for a gap."""
+    return [
+        (t, (value, weight) if weight > 0.0 else None)
+        for t, value, weight in zip(*fileio._scalar_rows(table))
+    ]
 
 
 def cmd_track(args: argparse.Namespace) -> int:

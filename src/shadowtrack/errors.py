@@ -79,10 +79,6 @@ class CoincidentSites(DataError):
     """Two sensor sites coincide, so their fixes cannot be combined."""
 
 
-class NoIntersection(DataError):
-    """Two range circles do not intersect, so no position fix exists."""
-
-
 class OutOfOrderTimestamp(DataError):
     """A streamed observation arrived with a non-increasing timestamp."""
 

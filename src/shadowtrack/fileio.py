@@ -309,8 +309,28 @@ def read_scalar_observations(path: str) -> ScalarObservationSeries:
     return _scalar_series(read_table(path, expect_schema=SCHEMA_SCALAR_OBS))
 
 
-def _scalar_series(table: Table) -> ScalarObservationSeries:
+def _scalar_rows(table: Table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The times, values and weights of a scalar observation table.
+
+    A row with an empty value cell or a zero weight is a gap: its time
+    stays in the grid and its value is ignored. An empty value cell is
+    returned as 0.0 with a zero weight, so the fit sees a placeholder
+    slot. An empty, negative or infinite weight raises SchemaError
+    naming the row.
+    """
     times, values, weights = _columns(table)
+    bad = np.flatnonzero(~((weights >= 0.0) & (weights < math.inf)))
+    if bad.size:
+        raise SchemaError(
+            f"weight must be finite and non-negative, got {weights[bad[0]]}",
+            row=int(bad[0]), column="weight",
+        )
+    empty = np.isnan(values)
+    return times, np.where(empty, 0.0, values), np.where(empty, 0.0, weights)
+
+
+def _scalar_series(table: Table) -> ScalarObservationSeries:
+    times, values, weights = _scalar_rows(table)
     return ScalarObservationSeries(
         grid=build_time_grid(times), values=values, weights=weights
     )

@@ -15,11 +15,6 @@ a small family of banded matrices that this module assembles:
   interval accelerations,
 * the assembled system blocks, augmented with a weighted-mean-residual
   constraint row.
-
-Because the elimination is causal, its approximation error concentrates
-at one end of the window. Building the system on the reversed gap
-sequence and then reversing rows and columns moves that error to the
-oldest samples, which is what a tracker wants; this is the default.
 """
 
 from __future__ import annotations
@@ -154,10 +149,6 @@ def _accel_core(taus: np.ndarray) -> np.ndarray:
     return 0.5 * (tau @ m) + el @ (tau @ m)
 
 
-def _flip2(matrix: np.ndarray) -> np.ndarray:
-    return matrix[::-1, ::-1].copy()
-
-
 @dataclass(frozen=True)
 class FilterMatrices:
     """Assembled system blocks for one time grid.
@@ -171,16 +162,9 @@ class FilterMatrices:
     by the a_bar entry and the identity by the b_bar entry. ``accel_core``
     recovers interval accelerations from the weighted residuals of a
     solved trajectory.
-
-    With ``time_reversed`` set, ``A``, ``a_bar``, ``b_bar`` and
-    ``accel_core`` were built on the reversed gap sequence and flipped
-    back, which pushes the scheme's one-sided approximation error toward
-    the start of the window. The flip leaves ``B`` and ``G`` unchanged,
-    so those are always stored in forward orientation.
     """
 
     grid: TimeGrid
-    time_reversed: bool
     D: np.ndarray           # (n, n)     first difference
     E: np.ndarray           # (n+1, n)   extended first difference
     L: np.ndarray           # (n, n)     running sum, inverse of D
@@ -197,39 +181,24 @@ class FilterMatrices:
         return self.grid.n
 
 
-def build_filter_matrices(grid: TimeGrid, time_reversed: bool = True) -> FilterMatrices:
-    """Assemble all system blocks for a grid.
-
-    The default builds on the reversed gap sequence and flips rows and
-    columns back, so the elimination error sits at the oldest samples.
-    """
-    taus = grid.taus
+def build_filter_matrices(grid: TimeGrid) -> FilterMatrices:
+    """Assemble all system blocks for a grid, in forward time."""
     n = grid.n
-    if time_reversed:
-        rev = taus[::-1].copy()
-        g = _flip2(_gap_products(rev))
-        b = _flip2(_junction(rev))
-        core = _flip2(_accel_core(rev))
-        a = _flip2(0.25 * (_gap_products(rev) @ _accel_core(rev)))
-    else:
-        g = _gap_products(taus)
-        b = _junction(taus)
-        core = _accel_core(taus)
-        a = 0.25 * (g @ core)
-    a_bar = np.vstack([a, np.ones((1, n + 1))])
-    b_bar = np.vstack([b, np.zeros((1, n + 1))])
+    g = _gap_products(grid.taus)
+    b = _junction(grid.taus)
+    core = _accel_core(grid.taus)
+    a = 0.25 * (g @ core)
     return FilterMatrices(
         grid=grid,
-        time_reversed=time_reversed,
         D=_frozen(_difference(n, n)),
         E=_frozen(_difference(n + 1, n)),
         L=_frozen(_running_sum(n, n)),
         M=_frozen(_running_sum(n, n + 1)),
-        G=_frozen(_gap_products(taus)),
-        B=_frozen(_junction(taus)),
+        G=_frozen(g),
+        B=_frozen(b),
         A=_frozen(a),
-        a_bar=_frozen(a_bar),
-        b_bar=_frozen(b_bar),
+        a_bar=_frozen(np.vstack([a, np.ones((1, n + 1))])),
+        b_bar=_frozen(np.vstack([b, np.zeros((1, n + 1))])),
         accel_core=_frozen(core),
     )
 

@@ -18,6 +18,13 @@ information-weighted squared residual to the observations, which keeps
 noiseless affine data exact, reproduces the weighted line fit as eta
 grows, and ignores values carried by zero-information placeholder slots.
 
+Eliminating the duals is causal, so the scheme's approximation error
+gathers at the start of the window the system is built on. A tracker
+emits the newest sample, so the default orientation is the forward solve
+on mirrored time: the samples are reversed, the forward system is solved
+on the reversed gaps, and the solution is reversed back, which leaves the
+error at the oldest samples. Both orientations thus share one assembly.
+
 A dense solver for the complete stationarity system (positions,
 velocities, accelerations and both dual sequences) is included as an
 oracle for tests and diagnostics.
@@ -240,9 +247,17 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     the row space and a basis for the null space (including directions
     truncated as numerically null); the free coefficients minimize the
     information-weighted squared residual to the observations.
+    Velocities are recovered in the original frame.
     """
     m, d = values.shape
-    fm = build_filter_matrices(grid, time_reversed=time_reversed)
+    system_grid = grid
+    if time_reversed:
+        # Negation is exact, so the mirrored gaps are grid.taus reversed
+        # bit for bit; they are passed as such, not re-differenced.
+        system_grid = TimeGrid(times=_frozen(-grid.times[::-1]),
+                               taus=_frozen(grid.taus[::-1]))
+        values, infos = values[::-1], infos[::-1]
+    fm = build_filter_matrices(system_grid)
     C = (fm.a_bar[:, None, :, None] * infos.transpose(1, 0, 2)[None]
          + eta * fm.b_bar[:, None, :, None] * np.eye(d)[None, :, None, :])
     C = C.reshape(-1, m * d)
@@ -262,6 +277,8 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     resid = float(np.linalg.norm(C @ p - rhs))
     p = p.reshape(m, d)
     a = fm.accel_core @ _apply_blocks(infos, values - p) / (2.0 * eta)
+    if time_reversed:
+        p, a = p[::-1], a[::-1]
     # Velocities making each interval's quadratic hit both endpoints.
     taus = grid.taus[:, None]
     head = np.diff(p, axis=0) / taus - 0.5 * a * taus
@@ -278,7 +295,7 @@ def solve_scalar(obs: ScalarObservationSeries, eta: float,
     """Fit a scalar trajectory to weighted observations at one eta.
 
     This is the d = 1 case of ``solve_vector``, with each weight as a
-    1-by-1 information matrix. The default time-reversed assembly
+    1-by-1 information matrix. The default time-reversed solve
     concentrates the scheme's approximation error at the oldest samples,
     so the newest positions and velocities are the most trustworthy.
     """

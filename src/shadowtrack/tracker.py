@@ -326,7 +326,7 @@ class SequentialTracker:
             series = ScalarObservationSeries(
                 grid=grid, values=values[:, 0], weights=infos[:, 0, 0]
             )
-            trajectory = solve_scalar(series, self.config.eta, time_reversed=True)
+            trajectory = solve_scalar(series, self.config.eta)
             positions = trajectory.positions[:, None]
             velocities = trajectory.velocities[:, None]
             accelerations = trajectory.accelerations[:, None]
@@ -334,7 +334,7 @@ class SequentialTracker:
             series = VectorObservationSeries(
                 grid=grid, values=values, informations=infos
             )
-            trajectory = solve_vector(series, self.config.eta, time_reversed=True)
+            trajectory = solve_vector(series, self.config.eta)
             positions = trajectory.positions
             velocities = trajectory.velocities
             accelerations = trajectory.accelerations

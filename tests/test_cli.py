@@ -207,18 +207,29 @@ class TestFilter:
 class TestTrack:
     # A gap row holds an empty value cell or a zero weight.
     @pytest.mark.parametrize(
-        "gap_value, gap_weight", [(math.nan, 1.0), (99.0, 0.0)],
-        ids=["empty-value", "zero-weight"],
+        "command, gap_value, gap_weight",
+        [("track", math.nan, 1.0), ("track", 99.0, 0.0),
+         ("filter", math.nan, 1.0), ("filter", 99.0, 0.0)],
+        ids=["empty-value", "zero-weight", "filter-empty-value", "filter-zero-weight"],
     )
-    def test_scalar_stream_with_gaps(self, tmp_path, gap_value, gap_weight):
+    def test_scalar_stream_with_gaps(self, tmp_path, command, gap_value, gap_weight):
         times = np.arange(10.0)
         values = 2.0 + 3.0 * times
         weights = np.ones(10)
         values[6], weights[6] = gap_value, gap_weight
         obs_path = str(tmp_path / "stream.csv")
         fileio.write_scalar_observations(obs_path, times, values, weights)
-        out = str(tmp_path / "trk")
-        assert run_cli("track", obs_path, "--eta", "5", "--out", out) == 0
+        out = str(tmp_path / "out")
+        assert run_cli(command, obs_path, "--eta", "5", "--out", out) == 0
+        if command == "filter":
+            table = fileio.read_table(
+                os.path.join(out, "stream-eta5-trajectory.csv"),
+                expect_schema=fileio.SCHEMA_TRAJECTORY,
+            )
+            positions = table.floats("p")
+            assert positions.shape == (10,)
+            assert abs(positions[6] - (2.0 + 3.0 * 6)) <= 1e-6
+            return
         table = fileio.read_table(
             os.path.join(out, "stream-track.csv"), expect_schema=fileio.SCHEMA_TRACK
         )
@@ -289,8 +300,14 @@ class TestTrack:
         assert run_cli("track", str(path), "--out", str(tmp_path / "trk")) == 3
         assert "row 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weight", ["", "-1.0", "inf"], ids=["nan", "negative", "infinite"])
-    def test_bad_weight_names_row_and_column(self, tmp_path, capsys, weight):
+    @pytest.mark.parametrize(
+        "command, weight",
+        [("track", ""), ("track", "-1.0"), ("track", "inf"),
+         ("filter", ""), ("filter", "-1.0"), ("filter", "inf")],
+        ids=["nan", "negative", "infinite",
+             "filter-nan", "filter-negative", "filter-infinite"],
+    )
+    def test_bad_weight_names_row_and_column(self, tmp_path, capsys, command, weight):
         path = tmp_path / "bad.csv"
         path.write_text(
             "# schema=shadowtrack.scalar-observations.v1\n"
@@ -299,7 +316,7 @@ class TestTrack:
             f"1.0,1.0,{weight}\n"
             "2.0,1.0,1.0\n"
         )
-        assert run_cli("track", str(path), "--out", str(tmp_path / "trk")) == 3
+        assert run_cli(command, str(path), "--eta", "5", "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "row 1" in err and "'weight'" in err
 

@@ -61,7 +61,7 @@ class TestStructuredShapes:
 
     def test_difference_entries(self):
         grid = build_time_grid([0.0, 1.0, 2.0, 3.0, 4.0])
-        fm = build_filter_matrices(grid, time_reversed=False)
+        fm = build_filter_matrices(grid)
         n = 4
         assert np.array_equal(fm.D, -np.eye(n) + np.eye(n, k=-1))
         assert np.array_equal(fm.E, -np.eye(n + 1, n) + np.eye(n + 1, n, k=-1))
@@ -70,7 +70,7 @@ class TestStructuredShapes:
 
     def test_quadrature_entries_on_nonuniform_grid(self):
         grid = build_time_grid([0.0, 1.0, 3.0, 6.0, 10.0])
-        fm = build_filter_matrices(grid, time_reversed=False)
+        fm = build_filter_matrices(grid)
         taus = grid.taus
         for i in range(3):
             row = np.zeros(4)
@@ -113,22 +113,6 @@ class TestIdentities:
             scale = np.abs(fm.B).max() * np.abs(affine).max()
             assert np.abs(fm.B @ affine).max() <= 1e-12 * scale
             assert np.abs(fm.b_bar @ affine).max() <= 1e-12 * scale
-
-    def test_stencils_stored_forward_in_both_orientations(self):
-        rng = np.random.default_rng(7)
-        grid = random_grid(rng, 6)
-        fwd = build_filter_matrices(grid, time_reversed=False)
-        rev = build_filter_matrices(grid, time_reversed=True)
-        assert np.array_equal(fwd.B, rev.B)
-        assert np.array_equal(fwd.G, rev.G)
-
-    def test_reversal_changes_augmented_blocks_on_nonuniform_grid(self):
-        rng = np.random.default_rng(11)
-        grid = random_grid(rng, 6)
-        fwd = build_filter_matrices(grid, time_reversed=False)
-        rev = build_filter_matrices(grid, time_reversed=True)
-        assert not np.array_equal(fwd.A, rev.A)
-        assert not np.array_equal(fwd.accel_core, rev.accel_core)
 
 
 class TestImmutability:
