@@ -158,10 +158,12 @@ class FilterMatrices:
     ``b_bar`` are the augmented blocks of the master system
     (a_bar @ diag(w) + eta * b_bar) p = a_bar @ diag(w) @ obs, whose
     final row enforces a zero weighted mean residual; for d-dimensional
-    positions the solver scales each sample's d-by-d information matrix
-    by the a_bar entry and the identity by the b_bar entry. ``accel_core``
+    positions each sample's d-by-d information matrix is scaled by the
+    a_bar entry and the identity by the b_bar entry. ``accel_core``
     recovers interval accelerations from the weighted residuals of a
-    solved trajectory.
+    solved trajectory. The solver never forms these dense blocks; it
+    solves the equivalent block-tridiagonal stationarity system, and
+    tests check it against them.
     """
 
     grid: TimeGrid

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -467,3 +469,16 @@ class TestDeterministicRerun:
         with pytest.raises(SystemExit) as info:
             cli.main(["--version"])
         assert info.value.code == 0
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        """Importing SciPy costs about 0.3 s, more than the CLI's whole set-up."""
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        probe = ("import sys, shadowtrack.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
