@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from . import fileio
 from .errors import (
+    IndefiniteInformation,
     IOFailure,
     NumericalError,
     OutOfOrderTimestamp,
@@ -343,8 +344,8 @@ def cmd_track(args: argparse.Namespace) -> int:
             points.append(step(t, fix))
         except WindowTooSparse:
             points.append(_nan_point(t, dim, raw_weight(fix), tracker.usable_count))
-        except OutOfOrderTimestamp as exc:
-            raise OutOfOrderTimestamp(f"{exc} (row {i})") from None
+        except (OutOfOrderTimestamp, IndefiniteInformation) as exc:
+            raise type(exc)(f"{exc} (row {i})") from None
 
     arguments = {
         "stream": os.path.basename(args.stream),

@@ -1,11 +1,13 @@
-"""Sequential state estimation over a sliding window of observations.
+"""Sequential state estimation over a growing or sliding window of observations.
 
 Each step appends one timestamped fix (or a gap marker), applies the
-configured missing-data policy, re-solves the smoothing problem over the
-window with the time-reversed matrices so the newest times carry the
-least approximation error, and emits the newest trajectory point as the
-state estimate. Windows re-solve from scratch; sizes are small enough
-that correctness is worth more than an incremental factorization.
+configured missing-data policy, and emits the newest sample of the
+time-reversed smoothing solve, which leaves the scheme's approximation
+error at the oldest samples. The full history (the default) is eliminated
+one sample at a time, so every fix costs constant work however long the
+stream runs; a sliding window re-solves its samples from scratch at every
+step. Either way, ``trajectory`` is the batch solve of the window as of
+the last solved step.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +40,8 @@ from .solver import (
     ScalarObservationSeries,
     ShadowingTrajectory,
     VectorObservationSeries,
+    _IncrementalSolve,
+    _symmetrized,
     evaluate_spline,
     solve_scalar,
     solve_vector,
@@ -121,6 +125,21 @@ class _Slot:
     raw_weight: float
     emitted: str
 
+    def __post_init__(self) -> None:
+        # Whether the slot carries information into the solve.
+        self.contributes = (
+            self.information is not None and float(np.trace(self.information)) > 0.0
+        )
+
+
+class _Newest(NamedTuple):
+    """The newest sample of the last solve."""
+
+    time: float
+    position: np.ndarray
+    velocity: np.ndarray
+    acceleration: np.ndarray
+
 
 class SequentialTracker:
     """Streaming tracker: ingest fixes in time order, emit state estimates.
@@ -133,10 +152,18 @@ class SequentialTracker:
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.dim: Optional[int] = None
-        self.trajectory: Optional[ShadowingTrajectory] = None
         self.last_point: Optional[TrackPoint] = None
         self._window: Deque[_Slot] = deque()
         self._last_time: Optional[float] = None
+        self._usable = 0  # contributing slots in the window
+        self._newest_usable: Optional[_Slot] = None
+        # Full history only: the running sum of contributing informations
+        # and the incremental solve of the gridded slots.
+        self._info_sum: Optional[np.ndarray] = None
+        self._history: Optional[_IncrementalSolve] = None
+        self._newest: Optional[_Newest] = None
+        self._solved_slots = 0  # gridded slots in the last solve
+        self._trajectory: Optional[ShadowingTrajectory] = None
 
     @property
     def window_size(self) -> int:
@@ -144,14 +171,20 @@ class SequentialTracker:
 
     @property
     def usable_count(self) -> int:
-        return len(self._usable_slots())
+        return self._usable
 
-    def _usable_slots(self) -> list[_Slot]:
-        return [
-            slot
-            for slot in self._window
-            if slot.information is not None and float(np.trace(slot.information)) > 0.0
-        ]
+    @property
+    def trajectory(self) -> Optional[ShadowingTrajectory]:
+        """Batch solve of the window's gridded slots as of the last solved step.
+
+        A full-history tracker builds it when it is first read after a
+        solved step; a sliding window keeps the solve of its last step.
+        None until a step has been solved.
+        """
+        if self._trajectory is None and self._newest is not None:
+            gridded = [slot for slot in self._window if slot.information is not None]
+            self._trajectory = self._batch_solve(gridded[:self._solved_slots])
+        return self._trajectory
 
     def insert_forecast(self, time: float) -> RawPositionEstimate:
         """Forecast a fix at ``time`` from the current trajectory.
@@ -161,15 +194,22 @@ class SequentialTracker:
         the window's contributing fixes scaled down by the configured
         forecast factor.
         """
-        if self.trajectory is None:
+        if self._newest is None:
             raise NoTrajectoryYet("no trajectory solved yet; cannot forecast")
-        position = np.atleast_1d(np.asarray(evaluate_spline(self.trajectory, time)))
-        usable = self._usable_slots()
-        if not usable:
+        if time >= self._newest.time:
+            position = self._extrapolate(time)
+        else:
+            position = np.atleast_1d(np.asarray(evaluate_spline(self.trajectory, time)))
+        if not self._usable:
             raise WindowTooSparse(
                 "no contributing fixes left in the window to scale a forecast from"
             )
-        mean_info = np.mean([slot.information for slot in usable], axis=0)
+        if self.config.window is None:
+            mean_info = self._info_sum / self._usable
+        else:
+            mean_info = np.mean(
+                [slot.information for slot in self._window if slot.contributes], axis=0
+            )
         info = self.config.forecast_info_scale * mean_info
         return RawPositionEstimate(
             position=position,
@@ -204,7 +244,11 @@ class SequentialTracker:
     def step(
         self, time: float, estimate: Optional[RawPositionEstimate]
     ) -> TrackPoint:
-        """Advance the tracker by one timestamped fix or gap marker."""
+        """Advance the tracker by one timestamped fix or gap marker.
+
+        A fix that fails validation raises before the tracker changes, so
+        the next step proceeds as if the rejected fix had never arrived.
+        """
         time = float(time)
         if not math.isfinite(time):
             raise DataError(f"timestamp must be finite, got {time}")
@@ -212,50 +256,65 @@ class SequentialTracker:
             raise OutOfOrderTimestamp(
                 f"timestamp {time!r} does not advance past {self._last_time!r}"
             )
+        if estimate is not None and self.dim is not None and estimate.dim != self.dim:
+            raise ShapeMismatch(
+                f"estimate dimension {estimate.dim} does not match "
+                f"tracker dimension {self.dim}"
+            )
 
         usable = (
             estimate is not None
             and estimate.usable
             and estimate.weight >= self.config.drop_weight
         )
-        if estimate is not None:
-            if self.dim is None:
-                self.dim = estimate.dim
-            elif estimate.dim != self.dim:
-                raise ShapeMismatch(
-                    f"estimate dimension {estimate.dim} does not match "
-                    f"tracker dimension {self.dim}"
-                )
         raw_weight = float(estimate.weight) if estimate is not None else 0.0
-
         if usable:
+            information = np.asarray(estimate.information, dtype=float)
+            _symmetrized(information[None], where=f"of the fix at time {time!r}")
             slot = _Slot(
                 time=time,
                 value=np.asarray(estimate.position, dtype=float),
-                information=np.asarray(estimate.information, dtype=float),
+                information=information,
                 raw_weight=raw_weight,
                 emitted=estimate.provenance,
             )
         else:
             slot = self._missing_slot(time, raw_weight)
 
+        if self.dim is None and estimate is not None:
+            self.dim = estimate.dim
         self._last_time = time
-        self._window.append(slot)
-        if self.config.window is not None:
-            while len(self._window) > self.config.window:
-                self._window.popleft()
-
+        self._append(slot)
         point = self._emit(slot)
         self.last_point = point
         return point
 
+    def _append(self, slot: _Slot) -> None:
+        self._window.append(slot)
+        if slot.contributes:
+            self._usable += 1
+            self._newest_usable = slot
+        if self.config.window is not None:
+            while len(self._window) > self.config.window:
+                dropped = self._window.popleft()
+                if dropped.contributes:
+                    self._usable -= 1
+                    if dropped is self._newest_usable:
+                        self._newest_usable = None
+            return
+        if slot.contributes:
+            self._info_sum = (
+                slot.information if self._info_sum is None
+                else self._info_sum + slot.information
+            )
+        if slot.information is not None:
+            if self._history is None:
+                self._history = _IncrementalSolve(self.dim, self.config.eta)
+            self._history.append(slot.time, slot.value, slot.information)
+
     def _missing_slot(self, time: float, raw_weight: float) -> _Slot:
         policy = self.config.policy
-        if (
-            policy == POLICY_FORECAST
-            and self.trajectory is not None
-            and self._usable_slots()
-        ):
+        if policy == POLICY_FORECAST and self._newest is not None and self._usable:
             forecast = self.insert_forecast(time)
             return _Slot(
                 time=time,
@@ -285,25 +344,53 @@ class SequentialTracker:
     def _reference_value(self, time: float) -> Optional[np.ndarray]:
         # Zero-information placeholders never influence the solution, but
         # their stored value must be finite; prefer a spline forecast.
-        if self.trajectory is not None:
-            return np.atleast_1d(np.asarray(evaluate_spline(self.trajectory, time)))
-        usable = self._usable_slots()
-        if usable:
-            return np.asarray(usable[-1].value, dtype=float)
+        if self._newest is not None:
+            return self._extrapolate(time)
+        if self._newest_usable is not None:
+            return np.asarray(self._newest_usable.value, dtype=float)
         return None
 
-    def _emit(self, newest: _Slot) -> TrackPoint:
+    def _extrapolate(self, time: float) -> np.ndarray:
+        """The fitted spline past its end: constant velocity from the newest state."""
+        newest = self._newest
+        return newest.position + newest.velocity * (time - newest.time)
+
+    def _batch_solve(self, gridded: list[_Slot]) -> ShadowingTrajectory:
+        grid = build_time_grid(np.array([slot.time for slot in gridded]))
+        values = np.stack([slot.value for slot in gridded])
+        infos = np.stack([slot.information for slot in gridded])
+        if self.dim == 1:
+            series = ScalarObservationSeries(
+                grid=grid, values=values[:, 0], weights=infos[:, 0, 0]
+            )
+            return solve_scalar(series, self.config.eta)
+        series = VectorObservationSeries(grid=grid, values=values, informations=infos)
+        return solve_vector(series, self.config.eta)
+
+    def _solve(self, newest: _Slot) -> None:
+        """Bring ``_newest`` up to date with a window that holds enough fixes."""
+        if self.config.window is None:
+            if newest.information is None:
+                return  # coalesced out: the grid, hence its solve, is unchanged
+            position, velocity, acceleration = self._history.newest()
+            self._newest = _Newest(newest.time, position, velocity, acceleration)
+            self._solved_slots = self._history.count
+            self._trajectory = None
+            return
         gridded = [slot for slot in self._window if slot.information is not None]
-        usable_count = sum(
-            1 for slot in gridded if float(np.trace(slot.information)) > 0.0
+        trajectory = self._batch_solve(gridded)
+        m = len(gridded)
+        self._trajectory = trajectory
+        self._newest = _Newest(
+            gridded[-1].time,
+            np.reshape(trajectory.positions, (m, -1))[-1],
+            np.reshape(trajectory.velocities, (m, -1))[-1],
+            np.reshape(trajectory.accelerations, (m - 1, -1))[-1],
         )
 
-        if usable_count < MIN_USABLE:
-            newest_contributes = (
-                newest.information is not None
-                and float(np.trace(newest.information)) > 0.0
-            )
-            if newest_contributes:
+    def _emit(self, newest: _Slot) -> TrackPoint:
+        if self._usable < MIN_USABLE:
+            if newest.contributes:
                 dim = newest.value.size
                 return TrackPoint(
                     time=newest.time,
@@ -312,44 +399,21 @@ class SequentialTracker:
                     acceleration=_frozen(np.zeros(dim)),
                     weight=newest.raw_weight,
                     provenance=newest.emitted,
-                    usable_points=usable_count,
+                    usable_points=self._usable,
                 )
             raise WindowTooSparse(
-                f"window holds {usable_count} usable of {len(self._window)} "
+                f"window holds {self._usable} usable of {len(self._window)} "
                 f"steps; need {MIN_USABLE}"
             )
 
-        grid = build_time_grid(np.array([slot.time for slot in gridded]))
-        values = np.stack([slot.value for slot in gridded])
-        infos = np.stack([slot.information for slot in gridded])
-        if self.dim == 1:
-            series = ScalarObservationSeries(
-                grid=grid, values=values[:, 0], weights=infos[:, 0, 0]
-            )
-            trajectory = solve_scalar(series, self.config.eta)
-            positions = trajectory.positions[:, None]
-            velocities = trajectory.velocities[:, None]
-            accelerations = trajectory.accelerations[:, None]
-        else:
-            series = VectorObservationSeries(
-                grid=grid, values=values, informations=infos
-            )
-            trajectory = solve_vector(series, self.config.eta)
-            positions = trajectory.positions
-            velocities = trajectory.velocities
-            accelerations = trajectory.accelerations
-        self.trajectory = trajectory
-
-        if gridded[-1].time == newest.time:
-            position = positions[-1]
-            velocity = velocities[-1]
-            acceleration = accelerations[-1]
+        self._solve(newest)
+        state = self._newest
+        if state.time == newest.time:
+            position, velocity, acceleration = state.position, state.velocity, state.acceleration
         else:
             # Newest step was coalesced out: extrapolate to its time.
-            position = np.atleast_1d(
-                np.asarray(evaluate_spline(trajectory, newest.time))
-            )
-            velocity = velocities[-1]
+            position = self._extrapolate(newest.time)
+            velocity = state.velocity
             acceleration = np.zeros_like(position)
         return TrackPoint(
             time=newest.time,
@@ -358,5 +422,5 @@ class SequentialTracker:
             acceleration=_frozen(np.asarray(acceleration, dtype=float)),
             weight=newest.raw_weight,
             provenance=newest.emitted,
-            usable_points=usable_count,
+            usable_points=self._usable,
         )

@@ -9,7 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from shadowtrack import NumericalError, cli, fileio
+from shadowtrack import (
+    PROVENANCE_OBSERVED,
+    NumericalError,
+    RawPositionEstimate,
+    cli,
+    fileio,
+)
 
 
 def run_cli(*argv):
@@ -301,6 +307,22 @@ class TestTrack:
         )
         assert run_cli("track", str(path), "--out", str(tmp_path / "trk")) == 3
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [[], ["--window", "25"]], ids=["full", "window"])
+    def test_indefinite_information_names_row(self, tmp_path, capsys, window):
+        times = np.arange(60.0)
+        # Row 40 carries a negated iyy.
+        estimates = [
+            RawPositionEstimate(position=[t, 0.5 * t],
+                                information=np.diag([1.0, -1.0 if i == 40 else 1.0]),
+                                weight=1.0, provenance=PROVENANCE_OBSERVED)
+            for i, t in enumerate(times)
+        ]
+        path = str(tmp_path / "stream.csv")
+        fileio.write_raw_estimates(path, times, estimates)
+        assert run_cli("track", path, *window, "--out", str(tmp_path / "trk")) == 3
+        err = capsys.readouterr().err
+        assert "row 40" in err and "sample" not in err
 
     @pytest.mark.parametrize(
         "command, weight",
