@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, NamedTuple, Optional
 
 import numpy as np
@@ -124,9 +124,9 @@ class _Slot:
     information: Optional[np.ndarray]  # zero matrix for placeholders
     raw_weight: float
     emitted: str
+    contributes: bool = field(init=False)  # carries information into the solve
 
     def __post_init__(self) -> None:
-        # Whether the slot carries information into the solve.
         self.contributes = (
             self.information is not None and float(np.trace(self.information)) > 0.0
         )

@@ -364,7 +364,6 @@ class ReSolvingTracker:
         self.dim = None
         self.trajectory = None
         self._window = []
-        self._last_time = None
 
     def _usable_slots(self):
         return [slot for slot in self._window
