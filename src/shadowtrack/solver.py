@@ -91,6 +91,11 @@ _EPS = float(np.finfo(float).eps)
 
 MIN_EFFECTIVE_SAMPLES = 3
 
+# search_eta stops once xi is within this fraction of its target, and
+# gives up after this many steps inside the bracket.
+SEARCH_REL_TOL = 2e-5
+SEARCH_MAX_ITERATIONS = 100
+
 
 def _require_positive_eta(eta: float) -> float:
     eta = float(eta)
@@ -256,7 +261,6 @@ class EtaSearchResult:
     eta: float
     xi: float
     iterations: int
-    bracket: tuple[float, float]
     trace: tuple[tuple[float, float], ...]  # (eta, xi) in evaluation order
 
 
@@ -350,16 +354,7 @@ def _sweep(rows: np.ndarray) -> np.ndarray:
     last = work[panels, :b]
     pivots = np.abs(np.concatenate([np.diagonal(done[:, :, :sb], axis1=1, axis2=2).ravel(),
                                     np.diagonal(last)]))
-    if not np.all(np.isfinite(pivots)):
-        raise SingularSystem("stationarity system has a non-finite pivot")
-    # A pivot at rounding level of the largest is zero to working
-    # precision. Solvable systems kept their smallest above 1e-13 of the
-    # largest on grids spread over 7 decades.
-    if pivots.min() <= _EPS * pivots.max():
-        raise SingularSystem(
-            "stationarity system is singular to working precision (smallest "
-            f"pivot {pivots.min() / pivots.max():.3e} of the largest)"
-        )
+    _require_nonsingular(pivots.min(), pivots.max())
     # x_panel = c - H [x_next; x_after] for each panel's leading samples.
     solved = _back_substitute(done[:, :, :sb], done[:, :, sb:])
     H, c = solved[:, :, :2 * b], solved[:, :, 2 * b:]
@@ -545,12 +540,7 @@ class _IncrementalSolve:
         pair = np.concatenate([self._carry, np.concatenate(
             [self._newest_rows[:, :2 * b], self._newest_rows[:, 3 * b:]], axis=1)])
         r = np.linalg.qr(pair, mode="r")
-        lo, hi = _pivot_range(self._pivots, np.diagonal(r[:, :2 * b]))
-        if not (np.isfinite(hi) and lo > _EPS * hi):
-            raise SingularSystem(
-                "stationarity system is singular to working precision (smallest "
-                f"pivot {lo / hi:.3e} of the largest)"
-            )
+        _require_nonsingular(*_pivot_range(self._pivots, np.diagonal(r[:, :2 * b])))
         S = np.linalg.solve(r[:, :2 * b], r[:, 2 * b:])
         Q, L, C = _with_sample(_with_sample(self._forms, 0, y1, w1), b, y2, w2)
         F = S.T @ Q @ S + S.T @ L + L.T @ S + C
@@ -570,6 +560,22 @@ def _pivot_range(extremes: tuple[float, float], pivots: np.ndarray) -> tuple[flo
     pivots = np.abs(pivots)
     return (float(np.minimum(extremes[0], pivots.min())),
             float(np.maximum(extremes[1], pivots.max())))
+
+
+def _require_nonsingular(smallest: float, largest: float) -> None:
+    """Raise SingularSystem unless the pivots are finite and nonzero to working precision.
+
+    A NaN or infinite pivot must make ``largest`` non-finite. Solvable
+    systems kept their smallest pivot above 1e-13 of the largest on grids
+    spread over 7 decades.
+    """
+    if not np.isfinite(largest):
+        raise SingularSystem("stationarity system has a non-finite pivot")
+    if not smallest > _EPS * largest:
+        raise SingularSystem(
+            "stationarity system is singular to working precision (smallest "
+            f"pivot {smallest / largest:.3e} of the largest)"
+        )
 
 
 def _with_sample(forms, offset: int, value: np.ndarray, info: np.ndarray):
@@ -621,46 +627,46 @@ def rms_acceleration(traj: ShadowingTrajectory) -> float:
     return float(np.sqrt(np.sum(traj.grid.taus * sq) / traj.grid.span))
 
 
-def _solve_any(obs, eta: float, time_reversed: bool) -> ShadowingTrajectory:
+def _solve_any(obs, eta: float) -> ShadowingTrajectory:
     if isinstance(obs, ScalarObservationSeries):
-        return solve_scalar(obs, eta, time_reversed)
+        return solve_scalar(obs, eta)
     if isinstance(obs, VectorObservationSeries):
-        return solve_vector(obs, eta, time_reversed)
+        return solve_vector(obs, eta)
     raise UsageError(f"unsupported observation container {type(obs).__name__}")
 
 
-def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float, *,
-               rel_tol: float = 2e-5, abs_tol: float = 0.0,
-               max_iterations: int = 100,
-               time_reversed: bool = True) -> EtaSearchResult:
+def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearchResult:
     """Find eta whose fit has RMS acceleration matching ``xi_target``.
 
     RMS acceleration decreases as eta grows, so the bracket must satisfy
-    xi(eta_lo) >= xi_target >= xi(eta_hi). The search runs in log(eta),
-    combining bisection with safeguarded inverse-quadratic steps. When
-    even eta_lo already meets the bound (xi(eta_lo) < target, e.g. affine
-    data), the smoothest end eta_hi is returned by convention.
+    xi(eta_lo) >= xi_target >= xi(eta_hi). The search runs in log(eta):
+    odd iterations take a false-position step, even iterations bisect. It
+    stops once xi is within ``SEARCH_REL_TOL`` of the target and raises
+    MaxIterations after ``SEARCH_MAX_ITERATIONS`` steps. When even eta_lo
+    already meets the bound (xi(eta_lo) < target, e.g. affine data), the
+    smoothest end eta_hi is returned by convention.
     """
     xi_target = float(xi_target)
+    if not (np.isfinite(xi_target) and xi_target >= 0.0):
+        raise UsageError(f"xi target must be a finite non-negative number, got {xi_target!r}")
     eta_lo = _require_positive_eta(eta_lo)
     eta_hi = _require_positive_eta(eta_hi)
     if eta_lo >= eta_hi:
         raise UsageError(f"bracket must satisfy eta_lo < eta_hi, got [{eta_lo}, {eta_hi}]")
-    tol = max(rel_tol * abs(xi_target), abs_tol)
+    tol = SEARCH_REL_TOL * xi_target
     trace: list[tuple[float, float]] = []
 
     def xi_at(eta: float) -> float:
-        value = rms_acceleration(_solve_any(obs, eta, time_reversed))
+        value = rms_acceleration(_solve_any(obs, eta))
         trace.append((eta, value))
         return value
 
-    def result(eta: float, xi: float, iters: int, lo: float, hi: float) -> EtaSearchResult:
-        return EtaSearchResult(eta=float(eta), xi=float(xi), iterations=iters,
-                               bracket=(float(lo), float(hi)), trace=tuple(trace))
+    def result(eta: float, xi: float, iters: int) -> EtaSearchResult:
+        return EtaSearchResult(float(eta), float(xi), iters, tuple(trace))
 
     xi_hi = xi_at(eta_hi)
     if abs(xi_hi - xi_target) <= tol:
-        return result(eta_hi, xi_hi, 0, eta_lo, eta_hi)
+        return result(eta_hi, xi_hi, 0)
     if xi_hi > xi_target:
         raise BracketDoesNotStraddle(
             f"xi({eta_hi:g}) = {xi_hi:g} still exceeds target {xi_target:g}; "
@@ -668,49 +674,35 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float, *,
         )
     xi_lo = xi_at(eta_lo)
     if abs(xi_lo - xi_target) <= tol:
-        return result(eta_lo, xi_lo, 0, eta_lo, eta_hi)
+        return result(eta_lo, xi_lo, 0)
     if xi_lo < xi_target:
         # The whole bracket already satisfies the bound; prefer smoothest.
-        return result(eta_hi, xi_hi, 0, eta_lo, eta_hi)
+        return result(eta_hi, xi_hi, 0)
 
     # Work in log space: eta ranges over decades and xi(log eta) is gentler.
-    # Odd iterations try inverse-quadratic (falling back to secant), even
-    # iterations bisect, so the bracket provably halves every two steps and
-    # plain false-position endpoint stagnation cannot occur.
+    # Bisecting every other step halves the bracket at least every two
+    # steps, so false position (f_lo > 0 > f_hi) cannot stall at one end;
+    # its points within 2% of the span of either end are bisected too.
     x_lo, f_lo = np.log(eta_lo), xi_lo - xi_target
     x_hi, f_hi = np.log(eta_hi), xi_hi - xi_target
-    prev: tuple[float, float] | None = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, SEARCH_MAX_ITERATIONS + 1):
         span = x_hi - x_lo
-        x_new = None
+        x_new = 0.5 * (x_lo + x_hi)
         if iteration % 2 == 1:
-            if prev is not None:
-                x2, f2 = prev
-                if f_lo != f2 and f_hi != f2 and f_lo != f_hi:
-                    x_new = (
-                        x_lo * f_hi * f2 / ((f_lo - f_hi) * (f_lo - f2))
-                        + x_hi * f_lo * f2 / ((f_hi - f_lo) * (f_hi - f2))
-                        + x2 * f_lo * f_hi / ((f2 - f_lo) * (f2 - f_hi))
-                    )
-            if x_new is None and f_lo != f_hi:
-                x_new = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
-        if x_new is None or not np.isfinite(x_new) or not (
-            x_lo + 0.02 * span < x_new < x_hi - 0.02 * span
-        ):
-            x_new = 0.5 * (x_lo + x_hi)
+            secant = x_hi - f_hi * span / (f_hi - f_lo)
+            if x_lo + 0.02 * span < secant < x_hi - 0.02 * span:
+                x_new = secant
         eta_new = float(np.exp(x_new))
         xi_new = xi_at(eta_new)
         if abs(xi_new - xi_target) <= tol:
-            return result(eta_new, xi_new, iteration, np.exp(x_lo), np.exp(x_hi))
-        f_new = xi_new - xi_target
-        prev = (x_new, f_new)
-        if f_new > 0.0:
-            x_lo, f_lo = x_new, f_new
+            return result(eta_new, xi_new, iteration)
+        if xi_new > xi_target:
+            x_lo, f_lo = x_new, xi_new - xi_target
         else:
-            x_hi, f_hi = x_new, f_new
+            x_hi, f_hi = x_new, xi_new - xi_target
     raise MaxIterations(
         f"eta search did not reach |xi - {xi_target:g}| <= {tol:g} within "
-        f"{max_iterations} iterations (bracket [{np.exp(x_lo):g}, {np.exp(x_hi):g}])"
+        f"{SEARCH_MAX_ITERATIONS} iterations (bracket [{np.exp(x_lo):g}, {np.exp(x_hi):g}])"
     )
 
 

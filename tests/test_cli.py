@@ -15,6 +15,7 @@ from shadowtrack import (
     RawPositionEstimate,
     cli,
     fileio,
+    solver,
 )
 
 
@@ -193,6 +194,19 @@ class TestFilter:
         assert run_cli(
             "filter", obs, "--xi", "1e-12", "--bracket", "1e-4", "1e8"
         ) == 2
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-1"])
+    def test_bad_xi_target_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                    target):
+        obs = self.make_obs(tmp_path)
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve", lambda *args: solves.append(args) or solve(*args))
+        out = tmp_path / "fit"
+        assert run_cli("filter", obs, "--xi", target, "--out", str(out)) == 2
+        assert "xi target must be a finite non-negative number" in capsys.readouterr().err
+        assert not out.exists()
+        assert solves == []
 
     def test_missing_input_exits_3(self, tmp_path):
         assert run_cli("filter", str(tmp_path / "ghost.csv"), "--eta", "1") == 3

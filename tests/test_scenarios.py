@@ -8,6 +8,7 @@ import pytest
 
 from shadowtrack import (
     UsageError,
+    VectorObservationSeries,
     apply_missing,
     gen_planar_path,
     gen_range_bearing,
@@ -232,6 +233,22 @@ class TestApplyMissing:
         idx = np.array(keep)
         assert np.array_equal(thinned.values, obs.values[idx])
         assert np.array_equal(thinned.grid.times, obs.grid.times[idx])
+
+    def test_planar_series_keeps_values_and_informations(self):
+        planar = gen_planar_path(4).observations
+        # Distinct informations per sample, so a reordering would show.
+        obs = VectorObservationSeries(
+            grid=planar.grid, values=planar.values,
+            informations=planar.informations * np.arange(1.0, 152.0)[:, None, None],
+        )
+        thinned, keep = apply_missing(obs, 0.5, 5)
+        assert isinstance(thinned, VectorObservationSeries)
+        assert len(keep) == 151 - 75
+        assert keep[0] == 0
+        assert keep[-1] == 150
+        assert np.array_equal(thinned.grid.times, obs.grid.times[keep])
+        assert np.array_equal(thinned.values, obs.values[keep])
+        assert np.array_equal(thinned.informations, obs.informations[keep])
 
     def test_invalid_fraction_rejected(self):
         obs = gen_scalar_rednoise(0).observations

@@ -326,21 +326,38 @@ class TestTimeReversal:
         assert solve_scalar(obs, 1.0, time_reversed=False).time_reversed is False
 
 
+def affine_error_on_spread_grids(rng, decades):
+    """Worst relative position error on affine data over three random grids.
+
+    Each grid has 101 samples whose gaps are log-uniform over ``decades``
+    decades, with 10 zero-weight slots, solved at eta 1e-3, 1, 1e3 and 1e6.
+    """
+    worst = 0.0
+    for _ in range(3):
+        times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(0.0, decades, 100))])
+        values = 1.5 - 0.25 * times
+        weights = np.ones(101)
+        weights[rng.choice(101, 10, replace=False)] = 0.0
+        obs = scalar_series(times, values, weights)
+        for eta in (1e-3, 1.0, 1e3, 1e6):
+            positions = solve_scalar(obs, eta).positions
+            worst = max(worst, np.abs(positions - values).max() / np.abs(values).max())
+    return worst
+
+
 class TestIrregularGrids:
     # The dense SVD solve reached only 3e-5 to 2e-4 on these grids.
     @pytest.mark.parametrize("decades", [3, 4, 5])
     def test_affine_data_reproduced_on_widely_spread_gaps(self, decades):
-        rng = np.random.default_rng(decades)
-        worst = 0.0
-        for _ in range(3):
-            times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(0.0, decades, 100))])
-            values = 1.5 - 0.25 * times
-            weights = np.ones(101)
-            weights[rng.choice(101, 10, replace=False)] = 0.0
-            obs = scalar_series(times, values, weights)
-            for eta in (1e-3, 1.0, 1e3, 1e6):
-                positions = solve_scalar(obs, eta).positions
-                worst = max(worst, np.abs(positions - values).max() / np.abs(values).max())
+        assert affine_error_on_spread_grids(np.random.default_rng(decades), decades) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "one refinement step does not hold 1e-9 on every grid spread over 5 decades: "
+        "over default_rng([5, s, 9]) for s = 0 ... 9 the worst error was 6.4e-3 "
+        "(s = 7), and 5 of the 10 seeds exceeded 1e-9"))
+    def test_affine_bound_holds_on_other_five_decade_grids(self):
+        worst = max(affine_error_on_spread_grids(np.random.default_rng([5, s, 9]), 5)
+                    for s in range(10))
         assert worst <= 1e-9
 
 

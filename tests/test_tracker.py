@@ -275,6 +275,42 @@ class TestForecastPolicy:
             tracker.insert_forecast(0.0)
 
 
+class TestForecastInformation:
+    @pytest.mark.parametrize("window", [None, 6], ids=["full-history", "window-6"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_mean_over_contributing_fixes(self, policy, window):
+        """Forecast information is the scale times the mean information over
+        the window's contributing fixes; gap slots do not count."""
+        rng = np.random.default_rng(41)
+        tracker = SequentialTracker(TrackerConfig(
+            eta=10.0, window=window, policy=policy, forecast_info_scale=0.3))
+        fed = []  # the information each step put into the window, or None
+        for i in range(20):
+            t = float(i)
+            if i >= 4 and i % 3 == 0:
+                inserted = None
+                if policy == POLICY_FORECAST:
+                    inserted = np.asarray(tracker.insert_forecast(t).information)
+                assert tracker.step(t, None).provenance != PROVENANCE_OBSERVED
+                fed.append(inserted)
+                continue
+            factor = rng.standard_normal((2, 2))
+            info = factor @ factor.T + 0.5 * np.eye(2)
+            tracker.step(t, RawPositionEstimate(position=[t, 0.5 * t], information=info,
+                                                weight=1.0, provenance=PROVENANCE_OBSERVED))
+            fed.append(info)
+            if i < 2:
+                continue
+            held = fed if window is None else fed[-window:]
+            contributing = [each for each in held if each is not None]
+            assert tracker.usable_count == len(contributing)
+            found = np.asarray(tracker.insert_forecast(t + 0.5).information)
+            np.testing.assert_allclose(found, 0.3 * np.mean(contributing, axis=0),
+                                       rtol=1e-13, atol=0.0)
+        if policy != POLICY_FORECAST:
+            assert tracker.usable_count < tracker.window_size
+
+
 class TestEmissionContract:
     def test_observed_point_carries_fix_weight(self):
         tracker = SequentialTracker(TrackerConfig(eta=5.0))
