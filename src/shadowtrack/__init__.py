@@ -16,8 +16,9 @@ Public layers:
   target RMS acceleration, and exposes a dense reference solver.
 * :mod:`shadowtrack.geometry` converts sensor readings into position
   estimates with information matrices and condition weights.
-* :mod:`shadowtrack.tracker` wraps the batch solver into a sequential,
-  windowed tracker with configurable gap policies.
+* :mod:`shadowtrack.tracker` runs a sequential tracker with configurable
+  gap policies. Over the full history it eliminates one sample per fix
+  and never re-solves; a sliding window re-solves its samples each step.
 * :mod:`shadowtrack.scenarios` generates seeded synthetic data sets.
 * :mod:`shadowtrack.fileio` reads and writes the CSV/JSON interchange
   formats used by the ``shadow-track`` command line tool.

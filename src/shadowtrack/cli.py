@@ -51,6 +51,7 @@ from .geometry import (
 from .matrices import _frozen
 from .scenarios import (
     SCENARIO_IDS,
+    _segment_path,
     apply_missing,
     gen_planar_path,
     gen_range_bearing,
@@ -58,7 +59,7 @@ from .scenarios import (
     gen_two_sensor_bearings,
 )
 from .solver import rms_acceleration, search_eta, solve_scalar, solve_vector
-from .tracker import POLICIES, POLICY_COALESCE, SequentialTracker, TrackerConfig, TrackPoint
+from .tracker import POLICIES, SequentialTracker, TrackerConfig, TrackPoint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,24 +108,24 @@ def _build_parser() -> argparse.ArgumentParser:
     trk.add_argument(
         "stream", help="scalar observation CSV or raw position estimate CSV"
     )
-    trk.add_argument("--eta", type=float, default=1000.0)
+    trk.add_argument("--eta", type=float, default=TrackerConfig.eta)
     trk.add_argument(
         "--window",
         type=int,
         default=None,
         help="number of recent steps retained (default: full history)",
     )
-    trk.add_argument("--policy", choices=POLICIES, default=POLICY_COALESCE)
+    trk.add_argument("--policy", choices=POLICIES, default=TrackerConfig.policy)
     trk.add_argument(
         "--gamma",
         type=float,
-        default=0.25,
+        default=TrackerConfig.forecast_info_scale,
         help="forecast information scale for the forecast-insert policy",
     )
     trk.add_argument(
         "--drop-weight",
         type=float,
-        default=1e-6,
+        default=TrackerConfig.drop_weight,
         help="condition-weight floor below which fixes are treated as gaps",
     )
 
@@ -265,17 +266,17 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.eta is not None:
         eta = arguments["eta"] = float(args.eta)
         tag = f"eta{eta:g}"
+        trajectory = solve(series, eta)
     else:
         xi_target = arguments["xi"] = float(args.xi)
         tag = f"xi{xi_target:g}"
         found = search_eta(series, xi_target, *bracket)
-        eta = found.eta
+        trajectory = found.trajectory
         sections["search"] = {
             "eta": float(found.eta),
             "xi": float(found.xi),
             "iterations": int(found.iterations),
         }
-    trajectory = solve(series, eta)
     sections["result"] = {
         "rms_acceleration": float(rms_acceleration(trajectory)),
         "rank": int(trajectory.rank),
@@ -301,14 +302,6 @@ def _nan_point(time: float, dim: int, weight: float, usable: int) -> TrackPoint:
     )
 
 
-def _scalar_feed(table: fileio.Table) -> list:
-    """One ``(time, (value, weight))`` pair per row, or ``(time, None)`` for a gap."""
-    return [
-        (t, (value, weight) if weight > 0.0 else None)
-        for t, value, weight in zip(*fileio._scalar_rows(table))
-    ]
-
-
 def cmd_track(args: argparse.Namespace) -> int:
     table = fileio.read_table(args.stream)
     config = TrackerConfig(
@@ -321,17 +314,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     tracker = SequentialTracker(config)
 
     if table.schema == fileio.SCHEMA_SCALAR_OBS:
-        dim = 1
-        feed = _scalar_feed(table)
-        step = lambda t, fix: (
-            tracker.step(t, None) if fix is None else tracker.step_scalar(t, *fix)
-        )
-        raw_weight = lambda fix: 0.0 if fix is None else 1.0
+        dim, (times, fixes) = 1, fileio._scalar_estimates(table)
     elif table.schema == fileio.SCHEMA_RAW_ESTIMATES:
-        dim = 2
-        feed = list(zip(*fileio._raw_estimates(table)))
-        step = tracker.step
-        raw_weight = lambda est: float(est.weight)
+        dim, (times, fixes) = 2, fileio._raw_estimates(table)
     else:
         raise SchemaError(
             f"{args.stream} holds schema {table.schema!r}; track accepts "
@@ -339,11 +324,12 @@ def cmd_track(args: argparse.Namespace) -> int:
         )
 
     points: list[TrackPoint] = []
-    for i, (t, fix) in enumerate(feed):
+    for i, (t, fix) in enumerate(zip(times, fixes)):
         try:
-            points.append(step(t, fix))
+            points.append(tracker.step(t, fix))
         except WindowTooSparse:
-            points.append(_nan_point(t, dim, raw_weight(fix), tracker.usable_count))
+            weight = 0.0 if fix is None else float(fix.weight)
+            points.append(_nan_point(t, dim, weight, tracker.usable_count))
         except (OutOfOrderTimestamp, IndefiniteInformation) as exc:
             raise type(exc)(f"{exc} (row {i})") from None
 
@@ -385,8 +371,7 @@ def _site_from_geometry(entry: dict, what: str) -> SensorSite:
         span = _coordinates(entry.get("span", 1.0), f"{what}.span")
         if span.shape != () or not span > 0:
             raise SchemaError(f"geometry entry {what} needs a positive number as span")
-        span = float(span)
-        return SensorSite(start, path=lambda t: start + (end - start) * (t / span))
+        return SensorSite(start, path=_segment_path(start, end, float(span)))
     if "site" in entry or "position" in entry:
         position = _coordinates(entry.get("site", entry.get("position")), f"{what}.position")
         return SensorSite(position)

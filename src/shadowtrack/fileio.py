@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import IOFailure, SchemaError
 from .geometry import (
+    PROVENANCE_OBSERVED,
     PROVENANCE_VALUES,
     PolarObservation,
     RawPositionEstimate,
@@ -267,11 +268,25 @@ def _write_columns(
 
 
 def _columns(table: Table) -> list:
-    """The columns of ``table`` in the order its schema lays them out."""
-    return [
-        table.strings(name) if name in _TEXT_COLUMNS else table.floats(name)
-        for name in _COLUMNS[table.schema]
-    ]
+    """The columns of ``table`` in the order its schema lays them out.
+
+    A numeric cell that is empty or not finite raises SchemaError naming
+    its row and column. The one exception is an empty value cell of a
+    scalar observation table, which marks a gap.
+    """
+    columns = []
+    for name in _COLUMNS[table.schema]:
+        if name in _TEXT_COLUMNS:
+            columns.append(table.strings(name))
+            continue
+        column = table.floats(name)
+        gaps = (table.schema, name) == (SCHEMA_SCALAR_OBS, "value")
+        bad = np.flatnonzero(~(np.isfinite(column) | (gaps & np.isnan(column))))
+        if bad.size:
+            raise SchemaError(f"expected a finite number, got {column[bad[0]]}",
+                              row=int(bad[0]), column=name)
+        columns.append(column)
+    return columns
 
 
 def _pairs(columns: Sequence[np.ndarray]) -> tuple:
@@ -315,18 +330,35 @@ def _scalar_rows(table: Table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     A row with an empty value cell or a zero weight is a gap: its time
     stays in the grid and its value is ignored. An empty value cell is
     returned as 0.0 with a zero weight, so the fit sees a placeholder
-    slot. An empty, negative or infinite weight raises SchemaError
-    naming the row.
+    slot. A negative weight raises SchemaError naming the row.
     """
     times, values, weights = _columns(table)
-    bad = np.flatnonzero(~((weights >= 0.0) & (weights < math.inf)))
+    bad = np.flatnonzero(weights < 0.0)
     if bad.size:
         raise SchemaError(
-            f"weight must be finite and non-negative, got {weights[bad[0]]}",
+            f"weight must be non-negative, got {weights[bad[0]]}",
             row=int(bad[0]), column="weight",
         )
     empty = np.isnan(values)
     return times, np.where(empty, 0.0, values), np.where(empty, 0.0, weights)
+
+
+def _scalar_estimates(
+    table: Table,
+) -> Tuple[np.ndarray, Tuple[Optional[RawPositionEstimate], ...]]:
+    """The times of a scalar observation table and one fix per row, None for a gap.
+
+    Each fix is observed, with condition weight 1 and the row's weight as
+    its 1x1 information.
+    """
+    times, values, weights = _scalar_rows(table)
+    return times, tuple(
+        RawPositionEstimate(
+            position=[value], information=[[weight]], weight=1.0,
+            provenance=PROVENANCE_OBSERVED,
+        ) if weight > 0.0 else None
+        for value, weight in zip(values, weights)
+    )
 
 
 def _scalar_series(table: Table) -> ScalarObservationSeries:

@@ -264,7 +264,7 @@ def range_bearing_to_position(
     )
 
 
-def _bearing_variance(value: float, what: str) -> float:
+def _positive_variance(value: float, what: str) -> float:
     var = float(value)
     if not math.isfinite(var) or var <= 0.0:
         raise DataError(f"{what} must be finite and positive, got {var}")
@@ -294,8 +294,8 @@ def two_bearings_to_position(
     b = _site_position(site_b, time)
     if float(np.hypot(*(b - a))) < MIN_RANGE:
         raise CoincidentSites("bearing sites must be distinct")
-    var_a = _bearing_variance(variance_a, "bearing variance")
-    var_b = _bearing_variance(variance_b, "bearing variance")
+    var_a = _positive_variance(variance_a, "bearing variance")
+    var_b = _positive_variance(variance_b, "bearing variance")
     theta_a = wrap_bearing(bearing_a)
     theta_b = wrap_bearing(bearing_b)
     dir_a = np.array([math.cos(theta_a), math.sin(theta_a)])
@@ -360,8 +360,8 @@ def two_ranges_to_position(
     r_b = float(range_b)
     if not (math.isfinite(r_a) and r_a > 0.0 and math.isfinite(r_b) and r_b > 0.0):
         raise DataError(f"ranges must be finite and positive, got {r_a}, {r_b}")
-    var_a = _bearing_variance(variance_a, "range variance")
-    var_b = _bearing_variance(variance_b, "range variance")
+    var_a = _positive_variance(variance_a, "range variance")
+    var_b = _positive_variance(variance_b, "range variance")
     baseline = b - a
     spacing = float(np.hypot(*baseline))
     if spacing < MIN_RANGE:

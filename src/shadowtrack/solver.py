@@ -262,6 +262,7 @@ class EtaSearchResult:
     xi: float
     iterations: int
     trace: tuple[tuple[float, float], ...]  # (eta, xi) in evaluation order
+    trajectory: ShadowingTrajectory  # the fit at ``eta``, whose RMS acceleration is xi
 
 
 def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
@@ -644,7 +645,8 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
     stops once xi is within ``SEARCH_REL_TOL`` of the target and raises
     MaxIterations after ``SEARCH_MAX_ITERATIONS`` steps. When even eta_lo
     already meets the bound (xi(eta_lo) < target, e.g. affine data), the
-    smoothest end eta_hi is returned by convention.
+    smoothest end eta_hi is returned by convention. The result carries
+    the fit at the returned eta, so no caller need solve it again.
     """
     xi_target = float(xi_target)
     if not (np.isfinite(xi_target) and xi_target >= 0.0):
@@ -656,28 +658,29 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
     tol = SEARCH_REL_TOL * xi_target
     trace: list[tuple[float, float]] = []
 
-    def xi_at(eta: float) -> float:
-        value = rms_acceleration(_solve_any(obs, eta))
-        trace.append((eta, value))
-        return value
+    def fit_at(eta: float) -> tuple[ShadowingTrajectory, float]:
+        fit = _solve_any(obs, eta)
+        xi = rms_acceleration(fit)
+        trace.append((eta, xi))
+        return fit, xi
 
-    def result(eta: float, xi: float, iters: int) -> EtaSearchResult:
-        return EtaSearchResult(float(eta), float(xi), iters, tuple(trace))
+    def result(fit: ShadowingTrajectory, xi: float, iters: int) -> EtaSearchResult:
+        return EtaSearchResult(fit.eta, xi, iters, tuple(trace), fit)
 
-    xi_hi = xi_at(eta_hi)
+    fit_hi, xi_hi = fit_at(eta_hi)
     if abs(xi_hi - xi_target) <= tol:
-        return result(eta_hi, xi_hi, 0)
+        return result(fit_hi, xi_hi, 0)
     if xi_hi > xi_target:
         raise BracketDoesNotStraddle(
             f"xi({eta_hi:g}) = {xi_hi:g} still exceeds target {xi_target:g}; "
             f"raise eta_hi"
         )
-    xi_lo = xi_at(eta_lo)
+    fit_lo, xi_lo = fit_at(eta_lo)
     if abs(xi_lo - xi_target) <= tol:
-        return result(eta_lo, xi_lo, 0)
+        return result(fit_lo, xi_lo, 0)
     if xi_lo < xi_target:
         # The whole bracket already satisfies the bound; prefer smoothest.
-        return result(eta_hi, xi_hi, 0)
+        return result(fit_hi, xi_hi, 0)
 
     # Work in log space: eta ranges over decades and xi(log eta) is gentler.
     # Bisecting every other step halves the bracket at least every two
@@ -693,9 +696,9 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
             if x_lo + 0.02 * span < secant < x_hi - 0.02 * span:
                 x_new = secant
         eta_new = float(np.exp(x_new))
-        xi_new = xi_at(eta_new)
+        fit_new, xi_new = fit_at(eta_new)
         if abs(xi_new - xi_target) <= tol:
-            return result(eta_new, xi_new, iteration)
+            return result(fit_new, xi_new, iteration)
         if xi_new > xi_target:
             x_lo, f_lo = x_new, xi_new - xi_target
         else:

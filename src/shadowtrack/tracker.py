@@ -37,6 +37,7 @@ from .geometry import (
 )
 from .matrices import _frozen, build_time_grid
 from .solver import (
+    MIN_EFFECTIVE_SAMPLES,
     ScalarObservationSeries,
     ShadowingTrajectory,
     VectorObservationSeries,
@@ -51,8 +52,6 @@ POLICY_COALESCE = "coalesce-gaps"
 POLICY_ZERO_WEIGHT = "zero-weight-placeholder"
 POLICY_FORECAST = "forecast-insert"
 POLICIES = (POLICY_COALESCE, POLICY_ZERO_WEIGHT, POLICY_FORECAST)
-
-MIN_USABLE = 3
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,10 @@ class TrackerConfig:
             raise NonPositiveEta(f"eta must be finite and positive, got {eta}")
         if self.window is not None:
             window = int(self.window)
-            if window < MIN_USABLE:
-                raise UsageError(f"window must be at least {MIN_USABLE}, got {window}")
+            if window < MIN_EFFECTIVE_SAMPLES:
+                raise UsageError(
+                    f"window must be at least {MIN_EFFECTIVE_SAMPLES}, got {window}"
+                )
             object.__setattr__(self, "window", window)
         if self.policy not in POLICIES:
             raise UsageError(f"policy must be one of {POLICIES}, got {self.policy!r}")
@@ -120,8 +121,8 @@ class TrackPoint:
 @dataclass
 class _Slot:
     time: float
-    value: Optional[np.ndarray]        # None when coalesced out of the grid
-    information: Optional[np.ndarray]  # zero matrix for placeholders
+    value: Optional[np.ndarray]        # None when coalesced out, zero for placeholders
+    information: Optional[np.ndarray]  # None when coalesced out, zero for placeholders
     raw_weight: float
     emitted: str
     contributes: bool = field(init=False)  # carries information into the solve
@@ -147,6 +148,13 @@ class SequentialTracker:
     One instance is single-writer; steps mutate the window. The latest
     full-window solution stays available as ``trajectory`` for
     retrospective smoothing.
+
+    Under the zero-weight policy an unusable step becomes a placeholder:
+    a gridded slot with zero information and a zero value. Every solve
+    multiplies a slot's value by its information, so the value never
+    reaches an output. A placeholder is made once the dimension is known
+    and either a solve exists or the window holds a contributing fix;
+    before that the step is coalesced out.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -154,9 +162,7 @@ class SequentialTracker:
         self.dim: Optional[int] = None
         self.last_point: Optional[TrackPoint] = None
         self._window: Deque[_Slot] = deque()
-        self._last_time: Optional[float] = None
         self._usable = 0  # contributing slots in the window
-        self._newest_usable: Optional[_Slot] = None
         # Full history only: the running sum of contributing informations
         # and the incremental solve of the gridded slots.
         self._info_sum: Optional[np.ndarray] = None
@@ -252,9 +258,9 @@ class SequentialTracker:
         time = float(time)
         if not math.isfinite(time):
             raise DataError(f"timestamp must be finite, got {time}")
-        if self._last_time is not None and time <= self._last_time:
+        if self._window and time <= self._window[-1].time:
             raise OutOfOrderTimestamp(
-                f"timestamp {time!r} does not advance past {self._last_time!r}"
+                f"timestamp {time!r} does not advance past {self._window[-1].time!r}"
             )
         if estimate is not None and self.dim is not None and estimate.dim != self.dim:
             raise ShapeMismatch(
@@ -283,7 +289,6 @@ class SequentialTracker:
 
         if self.dim is None and estimate is not None:
             self.dim = estimate.dim
-        self._last_time = time
         self._append(slot)
         point = self._emit(slot)
         self.last_point = point
@@ -293,14 +298,10 @@ class SequentialTracker:
         self._window.append(slot)
         if slot.contributes:
             self._usable += 1
-            self._newest_usable = slot
         if self.config.window is not None:
             while len(self._window) > self.config.window:
-                dropped = self._window.popleft()
-                if dropped.contributes:
+                if self._window.popleft().contributes:
                     self._usable -= 1
-                    if dropped is self._newest_usable:
-                        self._newest_usable = None
             return
         if slot.contributes:
             self._info_sum = (
@@ -313,42 +314,18 @@ class SequentialTracker:
             self._history.append(slot.time, slot.value, slot.information)
 
     def _missing_slot(self, time: float, raw_weight: float) -> _Slot:
+        """The slot for an unusable step: a forecast, a placeholder or coalesced out."""
         policy = self.config.policy
         if policy == POLICY_FORECAST and self._newest is not None and self._usable:
             forecast = self.insert_forecast(time)
-            return _Slot(
-                time=time,
-                value=np.asarray(forecast.position, dtype=float),
-                information=np.asarray(forecast.information, dtype=float),
-                raw_weight=raw_weight,
-                emitted=PROVENANCE_FORECAST,
-            )
-        if policy == POLICY_ZERO_WEIGHT and self.dim is not None:
-            reference = self._reference_value(time)
-            if reference is not None:
-                return _Slot(
-                    time=time,
-                    value=reference,
-                    information=np.zeros((self.dim, self.dim)),
-                    raw_weight=raw_weight,
-                    emitted=PROVENANCE_DROPPED,
-                )
-        return _Slot(
-            time=time,
-            value=None,
-            information=None,
-            raw_weight=raw_weight,
-            emitted=PROVENANCE_DROPPED,
-        )
-
-    def _reference_value(self, time: float) -> Optional[np.ndarray]:
-        # Zero-information placeholders never influence the solution, but
-        # their stored value must be finite; prefer a spline forecast.
-        if self._newest is not None:
-            return self._extrapolate(time)
-        if self._newest_usable is not None:
-            return np.asarray(self._newest_usable.value, dtype=float)
-        return None
+            return _Slot(time, forecast.position, forecast.information, raw_weight,
+                         PROVENANCE_FORECAST)
+        if policy == POLICY_ZERO_WEIGHT and self.dim is not None and (
+            self._newest is not None or self._usable
+        ):
+            return _Slot(time, np.zeros(self.dim), np.zeros((self.dim, self.dim)),
+                         raw_weight, PROVENANCE_DROPPED)
+        return _Slot(time, None, None, raw_weight, PROVENANCE_DROPPED)
 
     def _extrapolate(self, time: float) -> np.ndarray:
         """The fitted spline past its end: constant velocity from the newest state."""
@@ -389,37 +366,28 @@ class SequentialTracker:
         )
 
     def _emit(self, newest: _Slot) -> TrackPoint:
-        if self._usable < MIN_USABLE:
-            if newest.contributes:
-                dim = newest.value.size
-                return TrackPoint(
-                    time=newest.time,
-                    position=_frozen(np.asarray(newest.value, dtype=float)),
-                    velocity=_frozen(np.zeros(dim)),
-                    acceleration=_frozen(np.zeros(dim)),
-                    weight=newest.raw_weight,
-                    provenance=newest.emitted,
-                    usable_points=self._usable,
-                )
+        if self._usable >= MIN_EFFECTIVE_SAMPLES:
+            self._solve(newest)
+            state = self._newest
+            position, velocity, acceleration = state.position, state.velocity, state.acceleration
+            if state.time != newest.time:
+                # Newest step was coalesced out: extrapolate to its time.
+                position = self._extrapolate(newest.time)
+                acceleration = np.zeros_like(position)
+        elif newest.contributes:
+            # Too few fixes to solve: echo the fix at rest.
+            position = newest.value
+            velocity = acceleration = np.zeros(newest.value.size)
+        else:
             raise WindowTooSparse(
                 f"window holds {self._usable} usable of {len(self._window)} "
-                f"steps; need {MIN_USABLE}"
+                f"steps; need {MIN_EFFECTIVE_SAMPLES}"
             )
-
-        self._solve(newest)
-        state = self._newest
-        if state.time == newest.time:
-            position, velocity, acceleration = state.position, state.velocity, state.acceleration
-        else:
-            # Newest step was coalesced out: extrapolate to its time.
-            position = self._extrapolate(newest.time)
-            velocity = state.velocity
-            acceleration = np.zeros_like(position)
         return TrackPoint(
             time=newest.time,
-            position=_frozen(np.asarray(position, dtype=float)),
-            velocity=_frozen(np.asarray(velocity, dtype=float)),
-            acceleration=_frozen(np.asarray(acceleration, dtype=float)),
+            position=_frozen(position),
+            velocity=_frozen(velocity),
+            acceleration=_frozen(acceleration),
             weight=newest.raw_weight,
             provenance=newest.emitted,
             usable_points=self._usable,

@@ -12,9 +12,11 @@ import pytest
 from shadowtrack import (
     PROVENANCE_OBSERVED,
     NumericalError,
+    PolarObservation,
     RawPositionEstimate,
     cli,
     fileio,
+    solve_scalar,
     solver,
 )
 
@@ -211,6 +213,24 @@ class TestFilter:
     def test_missing_input_exits_3(self, tmp_path):
         assert run_cli("filter", str(tmp_path / "ghost.csv"), "--eta", "1") == 3
 
+    def test_xi_mode_writes_the_search_fit_without_solving_again(self, tmp_path,
+                                                                 monkeypatch):
+        obs = self.make_obs(tmp_path)
+        solves = []
+        solve = solver._solve
+        monkeypatch.setattr(solver, "_solve", lambda *args: solves.append(args) or solve(*args))
+        monkeypatch.setattr(cli, "solve_scalar", None)
+        out = tmp_path / "fit"
+        assert run_cli("filter", obs, "--xi", "0.05", "--out", str(out)) == 0
+        manifest = fileio.read_json(
+            str(out / "rednoise-seed2-observations-xi0.05-manifest.json"))
+        # The two bracket ends, then one solve per iteration.
+        assert len(solves) == manifest["search"]["iterations"] + 2
+        table = fileio.read_table(
+            str(out / "rednoise-seed2-observations-xi0.05-trajectory.csv"))
+        fit = solve_scalar(fileio.read_scalar_observations(obs), manifest["search"]["eta"])
+        assert np.array_equal(table.floats("p"), fit.positions)
+
     def test_wrong_schema_exits_3(self, tmp_path):
         path = str(tmp_path / "truth.csv")
         fileio.write_truth(path, np.arange(4.0), np.arange(4.0))
@@ -295,6 +315,12 @@ class TestTrack:
         )
         assert table.names[:3] == ("t", "px", "py")
         assert np.isfinite(table.floats("px")).all()
+
+    def test_wrong_schema_exits_3(self, tmp_path, capsys):
+        path = str(tmp_path / "truth.csv")
+        fileio.write_truth(path, np.arange(4.0), np.arange(4.0))
+        assert run_cli("track", path, "--out", str(tmp_path / "trk")) == 3
+        assert "track accepts" in capsys.readouterr().err
 
     def test_all_gap_stream_emits_nan_placeholders(self, tmp_path):
         times = np.arange(5.0)
@@ -445,8 +471,15 @@ class TestTransform:
         ({"kind": "two-bearings", "site_a": {"position": {"x": 0.0}},
           "site_b": {"position": [5.0, 0.0]}}, "site_a.position"),
         ("two-ranges", "geometry must be an object"),
+        ({"kind": "two-ranges", "site_a": [0.0, 0.0], "site_b": {"position": [5.0, 0.0]}},
+         "site_a must be an object"),
+        ({"kind": "two-bearings", "site_a": {"start": [0.0, 0.0], "span": 0.0},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
+        ({"kind": "two-ranges", "site_a": {"position": [0.0, 0.0]},
+          "site_b": {"at": [5.0, 0.0]}}, "site_b needs 'start'/'end' or 'position'"),
     ], ids=["unknown-kind", "missing-site", "text-site", "missing-site-a",
-            "missing-site-b", "text-start", "object-position", "not-an-object"])
+            "missing-site-b", "text-start", "object-position", "not-an-object",
+            "list-site", "zero-span", "neither-key"])
     def test_unknown_geometry_kind_exits_3(self, tmp_path, capsys, geometry, named):
         pairs = str(tmp_path / "pairs.csv")
         fileio.write_range_pairs(
@@ -456,6 +489,83 @@ class TestTransform:
         fileio.write_json(geo, {"geometry": geometry})
         assert run_cli("transform", pairs, geo, "--out", str(tmp_path)) == 3
         assert named in capsys.readouterr().err
+
+
+class TestNonFiniteCells:
+    """Every empty or non-finite numeric cell exits 3 naming its row and column.
+
+    The one exception, an empty value cell of a scalar observation table,
+    is a gap (``TestTrack.test_scalar_stream_with_gaps``).
+    """
+
+    TIMES = np.arange(5.0)
+    SITES = {"site_a": {"position": [0.0, 0.0]}, "site_b": {"position": [5.0, 0.0]}}
+
+    def write(self, tmp_path, schema):
+        path, t = str(tmp_path / "in.csv"), self.TIMES
+        pairs, variances = np.column_stack([1.0 + t, 6.0 - t]), np.full((5, 2), 0.01)
+        geometry = None
+        if schema == "scalar":
+            fileio.write_scalar_observations(path, t, np.sin(t), np.ones(5))
+        elif schema == "vector":
+            fileio.write_vector_observations(
+                path, t, np.column_stack([t, t * t]), np.tile(np.eye(2), (5, 1, 1)))
+        elif schema == "raw":
+            fileio.write_raw_estimates(path, t, [
+                RawPositionEstimate(position=[x, 0.5 * x], information=np.eye(2),
+                                    weight=1.0, provenance=PROVENANCE_OBSERVED)
+                for x in t])
+        elif schema == "polar":
+            fileio.write_polar_observations(
+                path, t, [PolarObservation(1.0 + x, 0.3, 0.01, 0.001) for x in t])
+            geometry = {"kind": "range-bearing", "site": [0.0, 0.0]}
+        elif schema == "bearings":
+            fileio.write_bearings(path, t, np.column_stack([0.2 + 0.1 * t, 2.0 - 0.1 * t]),
+                                  variances)
+            geometry = {"kind": "two-bearings", **self.SITES}
+        else:
+            fileio.write_range_pairs(path, t, pairs, variances)
+            geometry = {"kind": "two-ranges", **self.SITES}
+        if geometry is not None:
+            fileio.write_json(str(tmp_path / "geo.json"), {"geometry": geometry})
+        return path
+
+    @staticmethod
+    def replace_cell(path, row, column, text):
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        index = lines[header].split(",").index(column)
+        cells = lines[header + 1 + row].split(",")
+        cells[index] = text
+        lines[header + 1 + row] = ",".join(cells)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("command, schema, column, text", [
+        ("track", "raw", "x", ""),
+        ("track", "raw", "w", ""),
+        ("track", "raw", "iyy", "inf"),
+        ("track", "scalar", "value", "inf"),
+        ("track", "scalar", "t", ""),
+        ("filter", "vector", "y", ""),
+        ("filter", "vector", "t", ""),
+        ("filter", "scalar", "t", "nan"),
+        ("transform", "polar", "range", ""),
+        ("transform", "bearings", "variance_a", "-inf"),
+        ("transform", "range-pairs", "range_b", ""),
+    ])
+    def test_exits_3_naming_row_and_column(self, tmp_path, capsys, command, schema,
+                                           column, text):
+        path = self.write(tmp_path, schema)
+        self.replace_cell(path, 2, column, text)
+        argv = {"track": [path], "filter": [path, "--eta", "5"],
+                "transform": [path, str(tmp_path / "geo.json")]}[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"(row 2, column {column!r})" in err
+        assert not out.exists()
 
 
 # Each chain runs its steps in order; step k writes to "<root>/<k>", and

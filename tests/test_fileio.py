@@ -130,6 +130,19 @@ class TestSeriesRoundTrips:
         )
         assert bytes_of(first) == bytes_of(second)
 
+    def test_scalar_estimates_one_fix_per_row_or_none(self, tmp_path):
+        path = str(tmp_path / "stream.csv")
+        values = np.array([1.0, math.nan, 2.5, 4.5, 5.0])
+        weights = np.array([1.0, 1.0, 0.0, 0.25, 2.0])
+        fileio.write_scalar_observations(path, np.arange(5.0), values, weights)
+        times, fixes = fileio._scalar_estimates(fileio.read_table(path))
+        assert np.array_equal(times, np.arange(5.0))
+        assert fixes[1] is None and fixes[2] is None
+        for i in (0, 3, 4):
+            assert np.array_equal(fixes[i].position, [values[i]])
+            assert np.array_equal(fixes[i].information, [[weights[i]]])
+            assert (fixes[i].weight, fixes[i].provenance) == (1.0, PROVENANCE_OBSERVED)
+
     def test_vector_observations(self, tmp_path):
         rng = np.random.default_rng(0)
         times = np.arange(6.0)

@@ -181,6 +181,16 @@ class TestTwoBearings:
         assert est.weight == 0.0
         assert np.all(np.asarray(est.information) == 0.0)
 
+    def test_fix_on_a_site_is_dropped(self):
+        # The ray from b points back at a, so the rays meet on site a.
+        est = two_bearings_to_position(
+            [0.0, 0.0], [1.0, 0.0], math.pi / 2, math.pi, 1e-4, 1e-4
+        )
+        assert est.provenance == PROVENANCE_DROPPED
+        assert est.weight == 0.0
+        assert np.all(np.asarray(est.information) == 0.0)
+        assert est.position == pytest.approx([0.0, 0.0], abs=1e-12)
+
     def test_jacobian_matches_finite_differences(self):
         a = np.array([0.0, 0.0])
         b = np.array([1.0, 0.0])
@@ -314,6 +324,15 @@ class TestTwoRanges:
         assert est.provenance == PROVENANCE_DROPPED
         assert est.position == pytest.approx([1.0, 0.0])
         assert np.all(np.asarray(est.information) == 0.0)
+
+    def test_fix_on_a_site_is_dropped(self):
+        est = two_ranges_to_position(
+            SensorSite([0.0, 0.0]), SensorSite([4.0, 0.0]), 1e-12, 4.0, [0.0, 1.0]
+        )
+        assert est.provenance == PROVENANCE_DROPPED
+        assert est.weight == 0.0
+        assert np.all(np.asarray(est.information) == 0.0)
+        assert est.position == pytest.approx([0.0, 0.0], abs=1e-11)
 
     def test_information_from_unit_offsets(self):
         site_a = np.array([0.0, 0.0])

@@ -5,7 +5,9 @@ import pytest
 
 from shadowtrack import (
     BracketDoesNotStraddle,
+    DataError,
     DegenerateWeights,
+    MaxIterations,
     NonPositiveEta,
     NonSymmetricInformation,
     ScalarObservationSeries,
@@ -15,6 +17,7 @@ from shadowtrack import (
     TimeOutOfRange,
     PolarObservation,
     TooFewPoints,
+    UsageError,
     VectorObservationSeries,
     build_filter_matrices,
     build_time_grid,
@@ -272,6 +275,33 @@ class TestSolveInvariants:
         base = solve_scalar(scalar_series(times, values, weights), 10.0)
         spik = solve_scalar(scalar_series(times, spiked, weights), 10.0)
         assert np.abs(base.positions - spik.positions).max() <= 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_information_values_never_reach_the_solve(self, dim):
+        """A zero-information slot's value, 0 or +-1e9, leaves the solve bitwise equal."""
+        rng = np.random.default_rng(20 + dim)
+        n = 40
+        times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-1.0, 1.0, n - 1))])
+        roots = rng.standard_normal((n, dim, dim))
+        infos = roots @ np.swapaxes(roots, 1, 2) + 0.1 * np.eye(dim)
+        empty = rng.random(n) < 0.3
+        infos[empty] = 0.0
+        values = rng.standard_normal((n, dim))
+        fits = []
+        for filler in (0.0, 1e9, -1e9):
+            values[empty] = filler
+            grid = build_time_grid(times)
+            if dim == 1:
+                obs = ScalarObservationSeries(grid=grid, values=values[:, 0],
+                                              weights=infos[:, 0, 0])
+                fits.append(solve_scalar(obs, 3.0))
+            else:
+                obs = VectorObservationSeries(grid=grid, values=values, informations=infos)
+                fits.append(solve_vector(obs, 3.0))
+        for fit in fits[1:]:
+            for name in ("positions", "velocities", "accelerations"):
+                assert getattr(fit, name).tobytes() == getattr(fits[0], name).tobytes()
+            assert fit.residual_norm == fits[0].residual_norm
 
     def test_monotone_weighted_error_in_eta(self):
         obs = gen_scalar_rednoise(0).observations
@@ -576,6 +606,48 @@ class TestEtaSearch:
         with pytest.raises(BracketDoesNotStraddle):
             search_eta(obs, 0.0, 1e-2, 1e6)
 
+    @pytest.mark.parametrize("eta_lo, eta_hi", [(1e3, 1e3), (1e4, 1e-2)])
+    def test_bracket_must_increase(self, eta_lo, eta_hi):
+        obs = gen_scalar_rednoise(0).observations
+        with pytest.raises(UsageError, match="eta_lo < eta_hi"):
+            search_eta(obs, 0.1, eta_lo, eta_hi)
+
+    @pytest.mark.parametrize("end", ["eta_lo", "eta_hi"])
+    def test_bracket_end_meeting_target_returns_at_once(self, end):
+        obs = gen_scalar_rednoise(2).observations
+        bracket = {"eta_lo": 1e-1, "eta_hi": 1e4}
+        target = rms_acceleration(solve_scalar(obs, bracket[end]))
+        result = search_eta(obs, target, bracket["eta_lo"], bracket["eta_hi"])
+        assert (result.eta, result.xi, result.iterations) == (bracket[end], target, 0)
+        assert result.trajectory.eta == bracket[end]
+        assert len(result.trace) == (1 if end == "eta_hi" else 2)
+
+    def test_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(solver, "SEARCH_MAX_ITERATIONS", 2)
+        obs = gen_scalar_rednoise(4).observations
+        target = rms_acceleration(solve_scalar(obs, 50.0))
+        with pytest.raises(MaxIterations, match="within 2 iterations"):
+            search_eta(obs, target, 1e-2, 1e6)
+
+    @pytest.mark.parametrize("case", ["converged", "end-meets-target", "whole-bracket"])
+    def test_trajectory_is_the_fit_at_the_returned_eta(self, case):
+        """The result carries the solve at its eta, bitwise; no second solve is needed."""
+        obs = gen_scalar_rednoise(5).observations
+        target = rms_acceleration(solve_scalar(obs, 30.0))
+        if case == "end-meets-target":
+            target = rms_acceleration(solve_scalar(obs, 1e6))
+        elif case == "whole-bracket":
+            times = np.linspace(0.0, 50.0, 20)
+            obs = scalar_series(times, 2.0 + 3.0 * times)
+            target = 0.5
+        result = search_eta(obs, target, 1e-2, 1e6)
+        again = solve_scalar(obs, result.eta)
+        assert result.trajectory.eta == result.eta
+        assert rms_acceleration(result.trajectory) == result.xi
+        for name in ("positions", "velocities", "accelerations"):
+            assert np.array_equal(getattr(result.trajectory, name), getattr(again, name))
+        assert result.trajectory.residual_norm == again.residual_norm
+
 
 class TestRmsAcceleration:
     def test_zero_accelerations_give_zero(self):
@@ -715,6 +787,24 @@ class TestValidation:
         )
         with pytest.raises(SingularSystem):
             solve_vector(obs, 2.0)
+
+    @pytest.mark.parametrize("values, infos, error, match", [
+        (np.zeros(4), np.tile(np.eye(2), (4, 1, 1)), ShapeMismatch, "values must have shape"),
+        (np.zeros((4, 2)), np.tile(np.eye(3), (4, 1, 1)), ShapeMismatch,
+         "informations must have shape"),
+        (np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0], [3.0, 0.0]]),
+         np.tile(np.eye(2), (4, 1, 1)), DataError, "observation values must be finite"),
+        (np.zeros((4, 2)), np.tile(np.diag([1.0, np.inf]), (4, 1, 1)), DataError,
+         "information matrices must be finite"),
+        (np.zeros((4, 2)), np.stack([np.eye(2)] * 2 + [np.zeros((2, 2))] * 2),
+         DegenerateWeights, "at least 3 samples"),
+    ], ids=["values-shape", "informations-shape", "nan-value", "inf-information",
+            "two-informed"])
+    def test_vector_series_rejections(self, values, infos, error, match):
+        with pytest.raises(error, match=match):
+            VectorObservationSeries(
+                grid=build_time_grid(np.arange(4.0)), values=values, informations=infos
+            )
 
     def test_oracle_size_cap(self):
         times = np.arange(250.0)

@@ -72,6 +72,12 @@ class TestConfig:
         with pytest.raises(UsageError):
             TrackerConfig(eta=0.0)
 
+    def test_drop_weight_range(self):
+        for bad in (-0.1, 1.0):
+            with pytest.raises(UsageError, match="drop weight"):
+                TrackerConfig(drop_weight=bad)
+        TrackerConfig(drop_weight=0.0)
+
 
 class TestWarmUpAndExactness:
     def test_constant_feed_exact_every_step(self):
@@ -236,9 +242,64 @@ class TestGapPolicies:
                 else:
                     tracker.step_scalar(float(i), float(values[i]), 2.0)
             final[label] = tracker.last_point.position[0]
-        # A sub-threshold fix becomes a zero-information placeholder whose
-        # stored value comes from the tracker, so its payload cannot leak.
+        # A sub-threshold fix becomes a zero-information placeholder with
+        # a zero value, so its payload cannot leak.
         assert final["gap"] == final["weak"]
+
+    def test_placeholder_needs_a_solve_or_a_contributing_fix(self):
+        """A gap becomes a gridded placeholder once the dimension is known and
+        either a solve exists or the window holds a contributing fix."""
+        tracker = SequentialTracker(TrackerConfig(eta=5.0, window=5, policy=POLICY_ZERO_WEIGHT))
+        dropped = vector_estimate(0.0, 0.0, info_scale=0.0, weight=0.0,
+                                  provenance=PROVENANCE_DROPPED)
+
+        def feed(t, fix):
+            try:
+                tracker.step(float(t), fix)
+            except WindowTooSparse:
+                pass
+
+        feed(0, dropped)  # dimension known, but nothing to anchor: coalesced
+        feed(1, vector_estimate(1.0, 1.0))
+        feed(2, None)  # no solve yet, one fix in the window: a placeholder
+        for t in (3, 4):
+            feed(t, vector_estimate(float(t), 1.0))
+        assert tracker.trajectory.grid.times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        for t in range(5, 11):
+            feed(t, None)  # at t = 10 no fix is left in the window, only a solve
+        for t in (11, 12, 13):
+            feed(t, vector_estimate(float(t), 1.0))
+        assert tracker.trajectory.grid.times.tolist() == [9.0, 10.0, 11.0, 12.0, 13.0]
+
+    @pytest.mark.parametrize("window", [None, 7], ids=["full-history", "window-7"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_information_values_leave_points_bitwise_equal(self, dim, window):
+        """Zero-information slots valued 0, +1e9 or -1e9, or made by the
+        zero-weight policy, give bitwise-equal emitted states."""
+        config = TrackerConfig(eta=3.0, window=window, policy=POLICY_ZERO_WEIGHT)
+        times, fixes = maneuvering_stream(dim, seed=30 + dim, n=120, decades=2.0,
+                                          gap_share=0.3)
+        runs = []
+        for filler in (None, 0.0, 1e9, -1e9):
+            tracker = SequentialTracker(config)
+            states = []
+            for t, fix in zip(times, fixes):
+                if fix is None and filler is not None:
+                    fix = RawPositionEstimate(
+                        position=np.full(dim, filler), information=np.zeros((dim, dim)),
+                        weight=1.0, provenance=PROVENANCE_OBSERVED)
+                try:
+                    point = tracker.step(float(t), fix)
+                except WindowTooSparse:
+                    states.append(b"too sparse")
+                    continue
+                states.append(b"".join(
+                    getattr(point, name).tobytes()
+                    for name in ("position", "velocity", "acceleration")))
+            runs.append(states)
+        assert fixes.count(None) > 20
+        for states in runs[1:]:
+            assert states == runs[0]
 
 
 class TestForecastPolicy:
@@ -273,6 +334,27 @@ class TestForecastPolicy:
         tracker = SequentialTracker(TrackerConfig(eta=5.0, policy=POLICY_FORECAST))
         with pytest.raises(NoTrajectoryYet):
             tracker.insert_forecast(0.0)
+
+    @pytest.mark.parametrize("window", [None, 6])
+    def test_forecast_inside_window_evaluates_spline(self, window):
+        tracker = SequentialTracker(TrackerConfig(eta=5.0, window=window))
+        rng = np.random.default_rng(9)
+        for i in range(10):
+            tracker.step(float(i), vector_estimate(float(i), float(rng.standard_normal())))
+        for t in (6.25, 8.5, 8.999):
+            forecast = tracker.insert_forecast(t)
+            assert np.array_equal(forecast.position, evaluate_spline(tracker.trajectory, t))
+
+    def test_forecast_with_no_contributing_fix_left_raises(self):
+        tracker = SequentialTracker(TrackerConfig(eta=5.0, window=3))
+        for i in range(3):
+            tracker.step_scalar(float(i), float(i), 1.0)
+        for i in range(3, 6):
+            with pytest.raises(WindowTooSparse):
+                tracker.step(float(i), None)
+        assert tracker.usable_count == 0
+        with pytest.raises(WindowTooSparse, match="no contributing fixes"):
+            tracker.insert_forecast(6.0)
 
 
 class TestForecastInformation:
@@ -384,6 +466,20 @@ class TestValidation:
     def test_last_point_before_any_step(self):
         tracker = SequentialTracker(TrackerConfig(eta=5.0))
         assert tracker.last_point is None
+
+    def test_step_scalar_gap_and_bad_readings(self):
+        tracker = SequentialTracker(TrackerConfig(eta=5.0))
+        for t in range(4):
+            tracker.step_scalar(float(t), float(t), 1.0)
+        gap = tracker.step_scalar(4.0, None)
+        assert (gap.provenance, gap.weight, gap.usable_points) == (PROVENANCE_DROPPED, 0.0, 4)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ShapeMismatch, match="must be finite"):
+                tracker.step_scalar(5.0, value, 1.0)
+        for info in (0.0, -1.0, math.nan):
+            with pytest.raises(UsageError, match="must be positive"):
+                tracker.step_scalar(5.0, 5.0, info)
+        assert tracker.step_scalar(5.0, 5.0, 1.0).usable_points == 5
 
 
 class ReSolvingTracker:
