@@ -29,10 +29,8 @@ import numpy as np
 from . import __version__
 from . import fileio
 from .errors import (
-    IndefiniteInformation,
     IOFailure,
     NumericalError,
-    OutOfOrderTimestamp,
     SchemaError,
     ShadowTrackError,
     UnknownScenario,
@@ -44,6 +42,7 @@ from .geometry import (
     MODE_PROPAGATE,
     PROVENANCE_DROPPED,
     SensorSite,
+    _planar_point,
     range_bearing_to_position,
     two_bearings_to_position,
     two_ranges_to_position,
@@ -323,15 +322,14 @@ def cmd_track(args: argparse.Namespace) -> int:
             "scalar observation or raw position estimate tables"
         )
 
-    points: list[TrackPoint] = []
-    for i, (t, fix) in enumerate(zip(times, fixes)):
+    def step(t: float, fix) -> TrackPoint:
         try:
-            points.append(tracker.step(t, fix))
+            return tracker.step(t, fix)
         except WindowTooSparse:
             weight = 0.0 if fix is None else float(fix.weight)
-            points.append(_nan_point(t, dim, weight, tracker.usable_count))
-        except (OutOfOrderTimestamp, IndefiniteInformation) as exc:
-            raise type(exc)(f"{exc} (row {i})") from None
+            return _nan_point(t, dim, weight, tracker.usable_count)
+
+    points = fileio._by_row(step, zip(times, fixes))
 
     arguments = {
         "stream": os.path.basename(args.stream),
@@ -388,32 +386,38 @@ def cmd_transform(args: argparse.Namespace) -> int:
     if kind == "range-bearing":
         site = SensorSite(_coordinates(_geometry_entry(geometry, "site"), "site"))
         times, observations = fileio.read_polar_observations(args.readings)
-        estimates = [
-            range_bearing_to_position(site, obs, args.mode, time=float(t))
-            for t, obs in zip(times, observations)
-        ]
+        estimates = fileio._by_row(
+            lambda t, obs: range_bearing_to_position(site, obs, args.mode, time=float(t)),
+            zip(times, observations),
+        )
     elif kind == "two-bearings":
         site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
         times, bearings, variances = fileio.read_bearings(args.readings)
-        estimates = [
-            two_bearings_to_position(site_a, site_b, *pair, *variance, time=float(t))
-            for t, pair, variance in zip(times, bearings, variances)
-        ]
+        estimates = fileio._by_row(
+            lambda t, pair, variance: two_bearings_to_position(
+                site_a, site_b, *pair, *variance, time=float(t)),
+            zip(times, bearings, variances),
+        )
     elif kind == "two-ranges":
         site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
-        previous = _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator")
+        previous = _planar_point(
+            _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator"),
+            "disambiguator")
         times, ranges, variances = fileio.read_range_pairs(args.readings)
-        estimates = []
-        for t, pair, (variance_a, variance_b) in zip(times, ranges, variances):
+
+        def fix(t, pair, variance):
+            nonlocal previous
             est = two_ranges_to_position(
                 site_a, site_b, *pair, previous,
-                variance_a=variance_a, variance_b=variance_b, time=float(t),
+                variance_a=variance[0], variance_b=variance[1], time=float(t),
             )
-            estimates.append(est)
             if est.provenance != PROVENANCE_DROPPED:
                 previous = est.position
+            return est
+
+        estimates = fileio._by_row(fix, zip(times, ranges, variances))
     else:
         raise SchemaError(
             f"geometry kind {kind!r} is not supported; use range-bearing, "

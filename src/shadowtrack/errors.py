@@ -18,7 +18,14 @@ class UsageError(ShadowTrackError):
 
 
 class DataError(ShadowTrackError):
-    """Input data violates a contract (ordering, shape, schema, weights)."""
+    """Input data violates a contract (ordering, shape, schema, weights).
+
+    ``argument`` names the one argument at fault, when a single one is.
+    """
+
+    def __init__(self, message: str, *, argument: str | None = None):
+        super().__init__(message)
+        self.argument = argument
 
 
 class NumericalError(ShadowTrackError):

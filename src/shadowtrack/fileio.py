@@ -30,9 +30,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import IOFailure, SchemaError
+from .errors import DataError, IOFailure, SchemaError
 from .geometry import (
-    PROVENANCE_OBSERVED,
     PROVENANCE_VALUES,
     PolarObservation,
     RawPositionEstimate,
@@ -43,7 +42,7 @@ from .solver import (
     ShadowingTrajectory,
     VectorObservationSeries,
 )
-from .tracker import TrackPoint
+from .tracker import TrackPoint, _scalar_fix
 
 SCHEMA_SCALAR_OBS = "shadowtrack.scalar-observations.v1"
 SCHEMA_VECTOR_OBS = "shadowtrack.vector-observations.v1"
@@ -306,6 +305,23 @@ def _informations(ixx: np.ndarray, ixy: np.ndarray, iyy: np.ndarray) -> np.ndarr
     return np.stack([np.stack([ixx, ixy], -1), np.stack([ixy, iyy], -1)], -2)
 
 
+def _by_row(convert, rows: Iterable[Sequence[object]],
+            columns: Optional[Mapping[str, str]] = None) -> tuple:
+    """``convert(*row)`` for each row; a DataError names its row as a SchemaError.
+
+    The error also names the column of the argument at fault, if one is:
+    ``columns`` maps argument names that differ from their column's.
+    """
+    converted = []
+    for i, row in enumerate(rows):
+        try:
+            converted.append(convert(*row))
+        except DataError as exc:
+            column = (columns or {}).get(exc.argument, exc.argument)
+            raise SchemaError(str(exc), row=i, column=column) from None
+    return tuple(converted)
+
+
 # --- scenario and solver series ----------------------------------------
 
 
@@ -352,13 +368,7 @@ def _scalar_estimates(
     its 1x1 information.
     """
     times, values, weights = _scalar_rows(table)
-    return times, tuple(
-        RawPositionEstimate(
-            position=[value], information=[[weight]], weight=1.0,
-            provenance=PROVENANCE_OBSERVED,
-        ) if weight > 0.0 else None
-        for value, weight in zip(values, weights)
-    )
+    return times, tuple(_scalar_fix(value, weight) for value, weight in zip(values, weights))
 
 
 def _scalar_series(table: Table) -> ScalarObservationSeries:
@@ -469,7 +479,8 @@ def read_polar_observations(
 ) -> Tuple[np.ndarray, Tuple[PolarObservation, ...]]:
     times, *readings = _columns(read_table(path, expect_schema=SCHEMA_POLAR_OBS))
     # The columns follow PolarObservation's field order.
-    return times, tuple(PolarObservation(*row) for row in zip(*readings))
+    columns = {"distance": "range", "distance_variance": "range_variance"}
+    return times, _by_row(PolarObservation, zip(*readings), columns)
 
 
 def write_range_pairs(
@@ -575,7 +586,4 @@ def _raw_estimates(table: Table) -> Tuple[np.ndarray, Tuple[RawPositionEstimate,
                 f"unknown provenance {label!r}", row=i, column="provenance"
             )
     fixes = zip(np.column_stack([x, y]), _informations(ixx, ixy, iyy), weights, provenance)
-    return times, tuple(
-        RawPositionEstimate(position=position, information=info, weight=w, provenance=label)
-        for position, info, w, label in fixes
-    )
+    return times, _by_row(RawPositionEstimate, fixes, {"weight": "w"})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,13 +94,16 @@ class PolarObservation:
     def __post_init__(self) -> None:
         distance = float(self.distance)
         if not math.isfinite(distance) or distance <= 0.0:
-            raise DataError(f"range must be finite and positive, got {distance}")
+            raise DataError(f"range must be finite and positive, got {distance}",
+                            argument="distance")
         var_r = float(self.distance_variance)
         var_b = float(self.bearing_variance)
         if not (math.isfinite(var_r) and var_r > 0.0):
-            raise DataError(f"range variance must be positive, got {var_r}")
+            raise DataError(f"range variance must be positive, got {var_r}",
+                            argument="distance_variance")
         if not (math.isfinite(var_b) and var_b > 0.0):
-            raise DataError(f"bearing variance must be positive, got {var_b}")
+            raise DataError(f"bearing variance must be positive, got {var_b}",
+                            argument="bearing_variance")
         object.__setattr__(self, "distance", distance)
         object.__setattr__(self, "bearing", wrap_bearing(self.bearing))
         object.__setattr__(self, "distance_variance", var_r)
@@ -144,7 +147,8 @@ class RawPositionEstimate:
             raise NonSymmetricInformation("information matrix must be symmetric")
         weight = float(self.weight)
         if not math.isfinite(weight) or weight < 0.0 or weight > 1.0 + 1e-12:
-            raise DataError(f"condition weight must lie in [0, 1], got {weight}")
+            raise DataError(f"condition weight must lie in [0, 1], got {weight}",
+                            argument="weight")
         if self.provenance not in PROVENANCE_VALUES:
             raise UsageError(
                 f"provenance must be one of {PROVENANCE_VALUES}, got {self.provenance!r}"
@@ -181,8 +185,6 @@ def rcond_1norm(matrix: Union[Sequence[Sequence[float]], np.ndarray]) -> float:
     norm_m = max(abs(a) + abs(c), abs(b) + abs(d))
     # |det| * ||M^-1||_1 = max column sum of adj(M)
     norm_adj = max(abs(d) + abs(c), abs(b) + abs(a))
-    if norm_m == 0.0 or norm_adj == 0.0:
-        return 0.0
     return min(1.0, det / (norm_m * norm_adj))
 
 
@@ -264,11 +266,35 @@ def range_bearing_to_position(
     )
 
 
-def _positive_variance(value: float, what: str) -> float:
+def _positive_variance(value: float, what: str, argument: str) -> float:
     var = float(value)
     if not math.isfinite(var) or var <= 0.0:
-        raise DataError(f"{what} must be finite and positive, got {var}")
+        raise DataError(f"{what} must be finite and positive, got {var}", argument=argument)
     return var
+
+
+def _two_site_fix(position: np.ndarray, jacobian: Optional[np.ndarray],
+                  variances: Tuple[float, float], weight: float, usable: bool,
+                  scale: float) -> RawPositionEstimate:
+    """The estimate at ``position`` of a fix from one reading at each of two sites.
+
+    ``jacobian`` maps position perturbations to the readings; it is None for
+    a fix on a site, which is dropped with weight 0. A fix that is not
+    ``usable`` or weighs under ``DROP_WEIGHT`` is dropped with zero
+    information; any other gets the readings' information propagated
+    through ``jacobian``, times ``scale``.
+    """
+    if jacobian is None:
+        weight, usable = 0.0, False
+    if usable and weight >= DROP_WEIGHT:
+        provenance = PROVENANCE_OBSERVED
+        readings = np.diag([1.0 / variances[0], 1.0 / variances[1]])
+        info = scale * propagate_information(jacobian, readings)
+    else:
+        provenance = PROVENANCE_DROPPED
+        info = np.zeros((2, 2))
+    return RawPositionEstimate(position=position, information=info, weight=weight,
+                               provenance=provenance)
 
 
 def two_bearings_to_position(
@@ -294,8 +320,8 @@ def two_bearings_to_position(
     b = _site_position(site_b, time)
     if float(np.hypot(*(b - a))) < MIN_RANGE:
         raise CoincidentSites("bearing sites must be distinct")
-    var_a = _positive_variance(variance_a, "bearing variance")
-    var_b = _positive_variance(variance_b, "bearing variance")
+    var_a = _positive_variance(variance_a, "bearing variance", "variance_a")
+    var_b = _positive_variance(variance_b, "bearing variance", "variance_b")
     theta_a = wrap_bearing(bearing_a)
     theta_b = wrap_bearing(bearing_b)
     dir_a = np.array([math.cos(theta_a), math.sin(theta_a)])
@@ -309,29 +335,12 @@ def two_bearings_to_position(
     offset_b = position - b
     rsq_a = float(offset_a @ offset_a)
     rsq_b = float(offset_b @ offset_b)
-    if rsq_a < MIN_RANGE**2 or rsq_b < MIN_RANGE**2:
-        return RawPositionEstimate(
-            position=position,
-            information=np.zeros((2, 2)),
-            weight=0.0,
-            provenance=PROVENANCE_DROPPED,
-        )
-    # Jacobian of the two bearings with respect to (x, y) at the estimate.
-    k = np.array(
-        [
-            [-offset_a[1] / rsq_a, offset_a[0] / rsq_a],
-            [-offset_b[1] / rsq_b, offset_b[0] / rsq_b],
-        ]
-    )
-    if weight < DROP_WEIGHT:
-        provenance = PROVENANCE_DROPPED
-        info = np.zeros((2, 2))
-    else:
-        provenance = PROVENANCE_OBSERVED
-        info = weight * propagate_information(k, np.diag([1.0 / var_a, 1.0 / var_b]))
-    return RawPositionEstimate(
-        position=position, information=info, weight=weight, provenance=provenance
-    )
+    k = None
+    if rsq_a >= MIN_RANGE**2 and rsq_b >= MIN_RANGE**2:
+        # Jacobian of the two bearings with respect to (x, y) at the estimate.
+        k = np.array([[-offset_a[1] / rsq_a, offset_a[0] / rsq_a],
+                      [-offset_b[1] / rsq_b, offset_b[0] / rsq_b]])
+    return _two_site_fix(position, k, (var_a, var_b), weight, True, weight)
 
 
 def two_ranges_to_position(
@@ -358,10 +367,12 @@ def two_ranges_to_position(
     guess = _planar_point(disambiguator, "disambiguator")
     r_a = float(range_a)
     r_b = float(range_b)
-    if not (math.isfinite(r_a) and r_a > 0.0 and math.isfinite(r_b) and r_b > 0.0):
-        raise DataError(f"ranges must be finite and positive, got {r_a}, {r_b}")
-    var_a = _positive_variance(variance_a, "range variance")
-    var_b = _positive_variance(variance_b, "range variance")
+    for argument, r in (("range_a", r_a), ("range_b", r_b)):
+        if not (math.isfinite(r) and r > 0.0):
+            raise DataError(f"ranges must be finite and positive, got {r_a}, {r_b}",
+                            argument=argument)
+    var_a = _positive_variance(variance_a, "range variance", "variance_a")
+    var_b = _positive_variance(variance_b, "range variance", "variance_b")
     baseline = b - a
     spacing = float(np.hypot(*baseline))
     if spacing < MIN_RANGE:
@@ -384,22 +395,9 @@ def two_ranges_to_position(
     offset_b = position - b
     dist_a = float(np.hypot(*offset_a))
     dist_b = float(np.hypot(*offset_b))
-    if dist_a < MIN_RANGE or dist_b < MIN_RANGE:
-        return RawPositionEstimate(
-            position=position,
-            information=np.zeros((2, 2)),
-            weight=0.0,
-            provenance=PROVENANCE_DROPPED,
-        )
-    # Jacobian of the two ranges with respect to (x, y) at the estimate.
-    k = np.array([offset_a / dist_a, offset_b / dist_b])
-    weight = rcond_1norm(k)
-    if not intersects or weight < DROP_WEIGHT:
-        provenance = PROVENANCE_DROPPED
-        info = np.zeros((2, 2))
-    else:
-        provenance = PROVENANCE_OBSERVED
-        info = propagate_information(k, np.diag([1.0 / var_a, 1.0 / var_b]))
-    return RawPositionEstimate(
-        position=position, information=info, weight=weight, provenance=provenance
-    )
+    k, weight = None, 0.0
+    if dist_a >= MIN_RANGE and dist_b >= MIN_RANGE:
+        # Jacobian of the two ranges with respect to (x, y) at the estimate.
+        k = np.array([offset_a / dist_a, offset_b / dist_b])
+        weight = rcond_1norm(k)
+    return _two_site_fix(position, k, (var_a, var_b), weight, intersects, 1.0)

@@ -21,7 +21,7 @@ Scenarios provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Tuple
 
 import numpy as np
@@ -368,9 +368,15 @@ def apply_missing(
 
     Exactly floor(fraction * size) samples are removed, drawn uniformly
     without replacement from the interior indices, deterministically per
-    seed. Returns the shortened series and the sorted retained indices
-    into the original grid.
+    seed. Returns a series of the same type holding the retained samples
+    (times, values, and weights or informations) and the sorted retained
+    indices into the original grid. Anything but a scalar or vector
+    observation series raises UsageError.
     """
+    if not isinstance(series, (ScalarObservationSeries, VectorObservationSeries)):
+        raise UsageError(
+            f"apply_missing expects an observation series, got {type(series).__name__}"
+        )
     fraction = float(fraction)
     if not (0.0 <= fraction < 1.0):
         raise UsageError(f"missing fraction must lie in [0, 1), got {fraction}")
@@ -384,21 +390,7 @@ def apply_missing(
     interior = np.arange(1, size - 1)
     removed = rng.choice(interior, size=remove, replace=False)
     keep = np.setdiff1d(np.arange(size), removed)
-    grid = build_time_grid(series.grid.times[keep])
-    if isinstance(series, ScalarObservationSeries):
-        thinned = ScalarObservationSeries(
-            grid=grid,
-            values=series.values[keep],
-            weights=series.weights[keep],
-        )
-    elif isinstance(series, VectorObservationSeries):
-        thinned = VectorObservationSeries(
-            grid=grid,
-            values=series.values[keep],
-            informations=series.informations[keep],
-        )
-    else:
-        raise UsageError(
-            f"apply_missing expects an observation series, got {type(series).__name__}"
-        )
+    # Every field but the grid holds one entry per sample.
+    samples = {f.name: getattr(series, f.name)[keep] for f in fields(series) if f.name != "grid"}
+    thinned = replace(series, grid=build_time_grid(series.grid.times[keep]), **samples)
     return thinned, keep

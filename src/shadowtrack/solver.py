@@ -623,8 +623,8 @@ def solve_vector(obs: VectorObservationSeries, eta: float,
 
 def rms_acceleration(traj: ShadowingTrajectory) -> float:
     """Gap-weighted RMS acceleration magnitude over the window."""
-    a = traj.accelerations
-    sq = a ** 2 if a.ndim == 1 else np.sum(a ** 2, axis=1)
+    a = np.reshape(traj.accelerations, (traj.grid.taus.shape[0], -1))
+    sq = np.sum(a ** 2, axis=1)
     return float(np.sqrt(np.sum(traj.grid.taus * sq) / traj.grid.span))
 
 
@@ -712,38 +712,33 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
 def _spline_eval(traj: ShadowingTrajectory, t, *, derivative: bool):
     times = traj.grid.times
     tq = np.asarray(t, dtype=float)
-    scalar_input = tq.ndim == 0
-    tq = np.atleast_1d(tq)
     if not np.all(np.isfinite(tq)):
-        bad = float(tq[np.argmax(~np.isfinite(tq))])
+        bad = float(tq.flat[np.argmax(~np.isfinite(tq))])
         raise TimeOutOfRange(f"time {bad!r} is not finite")
     if np.any(tq < times[0]):
-        bad = float(tq[np.argmax(tq < times[0])])
+        bad = float(tq.flat[np.argmax(tq < times[0])])
         raise TimeOutOfRange(
             f"time {bad!r} precedes the fitted window starting at {float(times[0])!r}"
         )
+    # Every fit is evaluated as (m, d); the result takes the query's shape
+    # followed by the shape of one stored position.
+    m = times.shape[0]
+    p = np.reshape(traj.positions, (m, -1))
+    v = np.reshape(traj.velocities, (m, -1))
+    a = np.reshape(traj.accelerations, (m - 1, -1))
     idx = np.searchsorted(times, tq, side="right") - 1
-    beyond = idx >= times.shape[0] - 1
-    idx = np.minimum(idx, times.shape[0] - 2)
-    dt = tq - times[idx]
-    p, v, a = traj.positions, traj.velocities, traj.accelerations
-    if p.ndim == 2:
-        dt = dt[:, None]
-        beyond_b = beyond[:, None]
-    else:
-        beyond_b = beyond
+    beyond = (idx >= m - 1)[..., None]
+    idx = np.minimum(idx, m - 2)
+    dt = (tq - times[idx])[..., None]
     if derivative:
         inside = v[idx] + a[idx] * dt
         past_end = np.broadcast_to(v[-1], inside.shape)
     else:
         inside = p[idx] + v[idx] * dt + 0.5 * a[idx] * dt ** 2
         # Beyond the window: constant velocity from the last state.
-        dt_end = (tq - times[-1])[:, None] if p.ndim == 2 else tq - times[-1]
-        past_end = p[-1] + v[-1] * dt_end
-    out = np.where(beyond_b, past_end, inside)
-    if scalar_input:
-        return out[0] if p.ndim == 2 else float(out[0])
-    return out
+        past_end = p[-1] + v[-1] * (tq - times[-1])[..., None]
+    out = np.reshape(np.where(beyond, past_end, inside), tq.shape + traj.positions.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 def evaluate_spline(traj: ShadowingTrajectory, t):

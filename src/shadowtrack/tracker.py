@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DataError,
-    NonPositiveEta,
     NoTrajectoryYet,
     OutOfOrderTimestamp,
     ShapeMismatch,
@@ -42,6 +41,7 @@ from .solver import (
     ShadowingTrajectory,
     VectorObservationSeries,
     _IncrementalSolve,
+    _require_positive_eta,
     _symmetrized,
     evaluate_spline,
     solve_scalar,
@@ -73,9 +73,7 @@ class TrackerConfig:
     drop_weight: float = DROP_WEIGHT
 
     def __post_init__(self) -> None:
-        eta = float(self.eta)
-        if not math.isfinite(eta) or eta <= 0.0:
-            raise NonPositiveEta(f"eta must be finite and positive, got {eta}")
+        eta = _require_positive_eta(self.eta)
         if self.window is not None:
             window = int(self.window)
             if window < MIN_EFFECTIVE_SAMPLES:
@@ -131,6 +129,21 @@ class _Slot:
         self.contributes = (
             self.information is not None and float(np.trace(self.information)) > 0.0
         )
+
+
+def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
+    """A scalar reading as an observed 1-D fix; None for a gap (``value`` None or ``info`` 0)."""
+    if value is None:
+        return None
+    value, info = float(value), float(info)
+    if not math.isfinite(value):
+        raise ShapeMismatch("scalar observation must be finite")
+    if not math.isfinite(info) or info < 0.0:
+        raise UsageError(f"scalar information must be finite and non-negative, got {info}")
+    if info == 0.0:
+        return None
+    return RawPositionEstimate(position=np.array([value]), information=np.array([[info]]),
+                               weight=1.0, provenance=PROVENANCE_OBSERVED)
 
 
 class _Newest(NamedTuple):
@@ -227,25 +240,13 @@ class SequentialTracker:
     def step_scalar(
         self, time: float, value: Optional[float], info: float = 1.0
     ) -> TrackPoint:
-        """Ingest one scalar observation (``value`` None marks a gap).
+        """Ingest one scalar observation with inverse variance ``info``.
 
-        ``info`` is the inverse variance attached to the reading.
+        A reading with ``value`` None or ``info`` 0 is a gap, as a row of
+        a scalar observation table is for ``track``. A non-finite value,
+        or a negative or non-finite ``info``, raises.
         """
-        if value is None:
-            return self.step(time, None)
-        value = float(value)
-        info = float(info)
-        if not math.isfinite(value):
-            raise ShapeMismatch("scalar observation must be finite")
-        if not math.isfinite(info) or info <= 0.0:
-            raise UsageError(f"scalar information must be positive, got {info}")
-        estimate = RawPositionEstimate(
-            position=np.array([value]),
-            information=np.array([[info]]),
-            weight=1.0,
-            provenance=PROVENANCE_OBSERVED,
-        )
-        return self.step(time, estimate)
+        return self.step(time, _scalar_fix(value, info))
 
     def step(
         self, time: float, estimate: Optional[RawPositionEstimate]

@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -490,57 +492,78 @@ class TestTransform:
         assert run_cli("transform", pairs, geo, "--out", str(tmp_path)) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("disambiguator", [[1.0, 2.0, 3.0], [math.nan, 0.0]])
+    def test_bad_disambiguator_is_named_without_a_row(self, tmp_path, capsys, disambiguator):
+        path = write_reader_input(tmp_path, "range-pairs")
+        geo = str(tmp_path / "geo.json")
+        fileio.write_json(geo, {"geometry": {"kind": "two-ranges", **READER_SITES,
+                                             "disambiguator": disambiguator}})
+        assert run_cli("transform", path, geo, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "disambiguator must" in err and "row" not in err
+
+    def test_unconvertible_reading_names_its_row(self, tmp_path, capsys):
+        path = write_reader_input(tmp_path, "polar")
+        replace_cell(path, 1, "range", "1e-12")
+        assert run_cli("transform", path, str(tmp_path / "geo.json"),
+                       "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "below the minimum" in err and err.rstrip().endswith("(row 1)")
+
+
+READER_TIMES = np.arange(5.0)
+READER_SITES = {"site_a": {"position": [0.0, 0.0]}, "site_b": {"position": [5.0, 0.0]}}
+
+
+def write_reader_input(tmp_path, schema):
+    """A valid five-row input table of ``schema``, plus geometry.json for transform."""
+    path, t = str(tmp_path / "in.csv"), READER_TIMES
+    pairs, variances = np.column_stack([1.0 + t, 6.0 - t]), np.full((5, 2), 0.01)
+    geometry = None
+    if schema == "scalar":
+        fileio.write_scalar_observations(path, t, np.sin(t), np.ones(5))
+    elif schema == "vector":
+        fileio.write_vector_observations(
+            path, t, np.column_stack([t, t * t]), np.tile(np.eye(2), (5, 1, 1)))
+    elif schema == "raw":
+        fileio.write_raw_estimates(path, t, [
+            RawPositionEstimate(position=[x, 0.5 * x], information=np.eye(2),
+                                weight=1.0, provenance=PROVENANCE_OBSERVED)
+            for x in t])
+    elif schema == "polar":
+        fileio.write_polar_observations(
+            path, t, [PolarObservation(1.0 + x, 0.3, 0.01, 0.001) for x in t])
+        geometry = {"kind": "range-bearing", "site": [0.0, 0.0]}
+    elif schema == "bearings":
+        fileio.write_bearings(path, t, np.column_stack([0.2 + 0.1 * t, 2.0 - 0.1 * t]),
+                              variances)
+        geometry = {"kind": "two-bearings", **READER_SITES}
+    else:
+        fileio.write_range_pairs(path, t, pairs, variances)
+        geometry = {"kind": "two-ranges", **READER_SITES}
+    if geometry is not None:
+        fileio.write_json(str(tmp_path / "geo.json"), {"geometry": geometry})
+    return path
+
+
+def replace_cell(path, row, column, text):
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    index = lines[header].split(",").index(column)
+    cells = lines[header + 1 + row].split(",")
+    cells[index] = text
+    lines[header + 1 + row] = ",".join(cells)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
 
 class TestNonFiniteCells:
-    """Every empty or non-finite numeric cell exits 3 naming its row and column.
+    """Every empty, non-finite or out-of-range numeric cell exits 3 naming its row and column.
 
     The one exception, an empty value cell of a scalar observation table,
     is a gap (``TestTrack.test_scalar_stream_with_gaps``).
     """
-
-    TIMES = np.arange(5.0)
-    SITES = {"site_a": {"position": [0.0, 0.0]}, "site_b": {"position": [5.0, 0.0]}}
-
-    def write(self, tmp_path, schema):
-        path, t = str(tmp_path / "in.csv"), self.TIMES
-        pairs, variances = np.column_stack([1.0 + t, 6.0 - t]), np.full((5, 2), 0.01)
-        geometry = None
-        if schema == "scalar":
-            fileio.write_scalar_observations(path, t, np.sin(t), np.ones(5))
-        elif schema == "vector":
-            fileio.write_vector_observations(
-                path, t, np.column_stack([t, t * t]), np.tile(np.eye(2), (5, 1, 1)))
-        elif schema == "raw":
-            fileio.write_raw_estimates(path, t, [
-                RawPositionEstimate(position=[x, 0.5 * x], information=np.eye(2),
-                                    weight=1.0, provenance=PROVENANCE_OBSERVED)
-                for x in t])
-        elif schema == "polar":
-            fileio.write_polar_observations(
-                path, t, [PolarObservation(1.0 + x, 0.3, 0.01, 0.001) for x in t])
-            geometry = {"kind": "range-bearing", "site": [0.0, 0.0]}
-        elif schema == "bearings":
-            fileio.write_bearings(path, t, np.column_stack([0.2 + 0.1 * t, 2.0 - 0.1 * t]),
-                                  variances)
-            geometry = {"kind": "two-bearings", **self.SITES}
-        else:
-            fileio.write_range_pairs(path, t, pairs, variances)
-            geometry = {"kind": "two-ranges", **self.SITES}
-        if geometry is not None:
-            fileio.write_json(str(tmp_path / "geo.json"), {"geometry": geometry})
-        return path
-
-    @staticmethod
-    def replace_cell(path, row, column, text):
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        index = lines[header].split(",").index(column)
-        cells = lines[header + 1 + row].split(",")
-        cells[index] = text
-        lines[header + 1 + row] = ",".join(cells)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("command, schema, column, text", [
         ("track", "raw", "x", ""),
@@ -554,11 +577,19 @@ class TestNonFiniteCells:
         ("transform", "polar", "range", ""),
         ("transform", "bearings", "variance_a", "-inf"),
         ("transform", "range-pairs", "range_b", ""),
+        ("track", "raw", "w", "1.5"),
+        ("track", "raw", "w", "-0.1"),
+        ("transform", "polar", "range", "0"),
+        ("transform", "polar", "range_variance", "0"),
+        ("transform", "polar", "bearing_variance", "-1"),
+        ("transform", "bearings", "variance_a", "0"),
+        ("transform", "range-pairs", "range_b", "-2"),
+        ("transform", "range-pairs", "variance_b", "0"),
     ])
     def test_exits_3_naming_row_and_column(self, tmp_path, capsys, command, schema,
                                            column, text):
-        path = self.write(tmp_path, schema)
-        self.replace_cell(path, 2, column, text)
+        path = write_reader_input(tmp_path, schema)
+        replace_cell(path, 2, column, text)
         argv = {"track": [path], "filter": [path, "--eta", "5"],
                 "transform": [path, str(tmp_path / "geo.json")]}[command]
         out = tmp_path / "out"
@@ -566,6 +597,66 @@ class TestNonFiniteCells:
         err = capsys.readouterr().err
         assert f"(row 2, column {column!r})" in err
         assert not out.exists()
+
+
+class TestReaderFuzz:
+    """One corrupted cell of a valid table exits 3 naming its row and column."""
+
+    SCHEMAS = {
+        "scalar": (fileio.SCHEMA_SCALAR_OBS, "track"),
+        "vector": (fileio.SCHEMA_VECTOR_OBS, "filter"),
+        "raw": (fileio.SCHEMA_RAW_ESTIMATES, "track"),
+        "polar": (fileio.SCHEMA_POLAR_OBS, "transform"),
+        "bearings": (fileio.SCHEMA_BEARINGS, "transform"),
+        "range-pairs": (fileio.SCHEMA_RANGE_PAIRS, "transform"),
+    }
+    # Values outside the range of a column that has one.
+    OUT_OF_RANGE = {
+        "weight": ["-1.0"], "w": ["1.5", "-0.1"], "range": ["0", "-3"],
+        "range_variance": ["0"], "bearing_variance": ["-1"], "range_a": ["0"],
+        "range_b": ["-2"], "variance_a": ["0", "-1e-3"], "variance_b": ["0"],
+    }
+
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_one_bad_cell_exits_3_naming_row_and_column(self, tmp_path, capsys, schema):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        schema_id, command = self.SCHEMAS[schema]
+        columns = fileio._COLUMNS[schema_id]
+
+        def not_a_number(text):
+            try:
+                float(text)
+            except ValueError:
+                return True
+            return False
+
+        words = st.from_regex(r"[A-Za-z_.+-]{1,6}", fullmatch=True).filter(not_a_number)
+
+        @st.composite
+        def corruptions(draw):
+            column = draw(st.sampled_from(columns))
+            texts = ["", "nan", "inf", "-inf", *self.OUT_OF_RANGE.get(column, [])]
+            if (schema, column) == ("scalar", "value"):
+                texts = texts[2:]  # an empty or NaN value cell is a gap
+            return column, draw(st.sampled_from(texts) | words)
+
+        @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+        @given(row=st.integers(0, READER_TIMES.size - 1), cell=corruptions())
+        def check(row, cell):
+            column, text = cell
+            with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+                path = write_reader_input(pathlib.Path(work), schema)
+                replace_cell(path, row, column, text)
+                argv = {"track": [path], "filter": [path, "--eta", "5"],
+                        "transform": [path, os.path.join(work, "geo.json")]}[command]
+                code = run_cli(command, *argv, "--out", os.path.join(work, "out"))
+            err = capsys.readouterr().err
+            assert code == 3, (column, text, err)
+            assert f"(row {row}, column {column!r})" in err, (column, text, err)
+
+        check()
 
 
 # Each chain runs its steps in order; step k writes to "<root>/<k>", and

@@ -106,6 +106,22 @@ class TestTableLayer:
                 str(tmp_path / "short.csv"), np.arange(3.0), np.ones((4, 2)), np.ones((4, 2))
             )
 
+    def test_missing_column_named(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        fileio.write_table(path, "demo.v1", ["a", "b"], [[1.0, 2.0]])
+        table = fileio.read_table(path)
+        with pytest.raises(SchemaError, match="missing column 'c'") as caught:
+            table.floats("c")
+        assert caught.value.column == "c"
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "# manifest=abc\n"],
+                             ids=["nothing", "blank-lines", "comments-only"])
+    def test_no_header_row(self, tmp_path, body):
+        path = tmp_path / "t.csv"
+        path.write_text("# schema=demo.v1\n" + body)
+        with pytest.raises(SchemaError, match="has no header row"):
+            fileio.read_table(str(path))
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
             fileio.read_table(str(tmp_path / "absent.csv"))

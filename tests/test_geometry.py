@@ -7,6 +7,7 @@ import pytest
 
 from shadowtrack import (
     CoincidentSites,
+    DataError,
     MODE_IGNORE_CORRELATION,
     MODE_PROPAGATE,
     NonSymmetricInformation,
@@ -16,6 +17,7 @@ from shadowtrack import (
     RangeTooSmall,
     RawPositionEstimate,
     SensorSite,
+    ShapeMismatch,
     UsageError,
     propagate_information,
     range_bearing_to_position,
@@ -436,16 +438,15 @@ class TestRawPositionEstimate:
             )
 
     def test_weight_outside_unit_interval_rejected(self):
-        from shadowtrack import DataError
-
         for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(DataError):
+            with pytest.raises(DataError) as caught:
                 RawPositionEstimate(
                     position=[0.0, 0.0],
                     information=np.eye(2),
                     weight=bad,
                     provenance=PROVENANCE_OBSERVED,
                 )
+            assert caught.value.argument == "weight"
 
     def test_weight_rounding_fuzz_clamped(self):
         est = RawPositionEstimate(
@@ -464,3 +465,83 @@ class TestRawPositionEstimate:
                 weight=1.0,
                 provenance="guessed",
             )
+
+
+def estimate(position=(0.0, 0.0), information=((1.0, 0.0), (0.0, 1.0))):
+    return RawPositionEstimate(position=position, information=information, weight=1.0,
+                               provenance=PROVENANCE_OBSERVED)
+
+
+def site_at(value):
+    return SensorSite([0.0, 0.0], path=lambda t: value).at(1.0)
+
+
+class TestRejections:
+    """Every argument check raises its documented error, naming the argument."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: wrap_bearing(math.nan), DataError, "bearing must be finite"),
+        (lambda: wrap_bearing(-math.inf), DataError, "bearing must be finite"),
+        (lambda: SensorSite([0.0, 0.0, 0.0]), ShapeMismatch, r"shape \(2,\)"),
+        (lambda: SensorSite([[0.0, 0.0]]), ShapeMismatch, r"shape \(2,\)"),
+        (lambda: SensorSite([0.0, math.inf]), DataError, "site position must be finite"),
+        (lambda: site_at([1.0]), ShapeMismatch, "site path value"),
+        (lambda: site_at([math.nan, 1.0]), DataError, "site path value must be finite"),
+        (lambda: estimate(position=[[0.0, 0.0]]), ShapeMismatch, "1-D vector"),
+        (lambda: estimate(position=[]), ShapeMismatch, "1-D vector"),
+        (lambda: estimate(position=[0.0, math.nan]), DataError, "position must be finite"),
+        (lambda: estimate(information=np.eye(3)), ShapeMismatch, "information must have"),
+        (lambda: estimate(information=[[1.0, 0.0], [0.0, math.inf]]), DataError,
+         "information matrix must be finite"),
+        (lambda: rcond_1norm(np.eye(3)), ShapeMismatch, "2x2"),
+        (lambda: rcond_1norm([1.0, 2.0, 3.0, 4.0]), ShapeMismatch, "2x2"),
+        (lambda: rcond_1norm([[1.0, math.nan], [0.0, 1.0]]), DataError, "finite"),
+        (lambda: propagate_information(np.ones((2, 3)), np.eye(2)), ShapeMismatch,
+         "jacobian must be square"),
+        (lambda: propagate_information(np.eye(2), np.eye(3)), ShapeMismatch,
+         "does not match"),
+        (lambda: propagate_information([[1.0, math.inf], [0.0, 1.0]], np.eye(2)),
+         DataError, "must be finite"),
+        (lambda: propagate_information(np.eye(2), [[math.nan, 0.0], [0.0, 1.0]]),
+         DataError, "must be finite"),
+        (lambda: range_bearing_to_position([0.0, 0.0], PolarObservation(1.0, 0.0, 1.0, 1.0),
+                                           "cartesian"), UsageError, "mode must be"),
+    ])
+    def test_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    @pytest.mark.parametrize("fields, argument", [
+        ((0.0, 0.1, 0.01, 0.01), "distance"),
+        ((-1.0, 0.1, 0.01, 0.01), "distance"),
+        ((math.nan, 0.1, 0.01, 0.01), "distance"),
+        ((1.0, 0.1, 0.0, 0.01), "distance_variance"),
+        ((1.0, 0.1, math.inf, 0.01), "distance_variance"),
+        ((1.0, 0.1, 0.01, -1.0), "bearing_variance"),
+        ((1.0, 0.1, 0.01, math.nan), "bearing_variance"),
+    ])
+    def test_polar_observation_names_its_field(self, fields, argument):
+        with pytest.raises(DataError) as caught:
+            PolarObservation(*fields)
+        assert caught.value.argument == argument
+
+    @pytest.mark.parametrize("ranges, variances, argument", [
+        ((0.0, 3.0), (1.0, 1.0), "range_a"),
+        ((2.0, -2.0), (1.0, 1.0), "range_b"),
+        ((math.inf, 3.0), (1.0, 1.0), "range_a"),
+        ((2.0, 3.0), (0.0, 1.0), "variance_a"),
+        ((2.0, 3.0), (1.0, -1.0), "variance_b"),
+    ])
+    def test_two_ranges_names_the_bad_argument(self, ranges, variances, argument):
+        with pytest.raises(DataError, match="must be finite and positive") as caught:
+            two_ranges_to_position([0.0, 0.0], [4.0, 0.0], *ranges, [2.0, 1.0],
+                                   variance_a=variances[0], variance_b=variances[1])
+        assert caught.value.argument == argument
+
+    @pytest.mark.parametrize("variances, argument", [
+        ((0.0, 1.0), "variance_a"), ((1.0, math.nan), "variance_b"),
+    ])
+    def test_two_bearings_names_the_bad_variance(self, variances, argument):
+        with pytest.raises(DataError, match="bearing variance") as caught:
+            two_bearings_to_position([0.0, 0.0], [4.0, 0.0], 0.5, 2.5, *variances)
+        assert caught.value.argument == argument

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shadowtrack import (
+    DataError,
     UsageError,
     VectorObservationSeries,
     apply_missing,
@@ -260,3 +261,38 @@ class TestApplyMissing:
         obs = gen_scalar_rednoise(0).observations
         with pytest.raises(UsageError):
             apply_missing(obs, 0.999, 0)
+
+    @pytest.mark.parametrize("series", [[1.0, 2.0, 3.0, 4.0], None, np.arange(5.0)],
+                             ids=["list", "none", "array"])
+    def test_non_series_rejected(self, series):
+        with pytest.raises(UsageError, match="expects an observation series"):
+            apply_missing(series, 0.5, 0)
+
+
+GENERATORS = [gen_scalar_rednoise, gen_planar_path, gen_two_sensor_bearings, gen_range_bearing]
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("generate", GENERATORS)
+    @pytest.mark.parametrize("count", [2, 0, -5])
+    def test_too_few_samples_rejected(self, generate, count):
+        with pytest.raises(UsageError, match="at least 3 samples"):
+            generate(0, count=count)
+
+    @pytest.mark.parametrize("generate, keyword", [
+        (gen_scalar_rednoise, "noise_sd"),
+        (gen_scalar_rednoise, "drift_sd"),
+        (gen_planar_path, "noise_sd"),
+        (gen_two_sensor_bearings, "bearing_noise_sd"),
+        (gen_range_bearing, "bearing_noise_sd"),
+        (gen_range_bearing, "range_accuracy_ratio"),
+    ])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_bad_spread_rejected(self, generate, keyword, value):
+        with pytest.raises(DataError, match="must be finite and >="):
+            generate(0, **{keyword: value})
+
+    @pytest.mark.parametrize("keyword", ["bearing_noise_sd", "range_accuracy_ratio"])
+    def test_range_bearing_spreads_must_be_positive(self, keyword):
+        with pytest.raises(DataError, match="1e-12"):
+            gen_range_bearing(0, **{keyword: 0.0})

@@ -740,6 +740,22 @@ class TestSpline:
         knots = evaluate_spline(traj, times)
         assert np.abs(knots - traj.positions).max() <= 1e-12
 
+    @pytest.mark.parametrize("evaluate", [evaluate_spline, evaluate_spline_velocity])
+    def test_one_component_vector_fit_keeps_its_component_axis(self, evaluate):
+        times = np.linspace(0.0, 6.0, 7)
+        traj = solve_vector(
+            VectorObservationSeries(grid=build_time_grid(times), values=np.sin(times)[:, None],
+                                    informations=np.ones((7, 1, 1))),
+            2.0,
+        )
+        scalar = solve_scalar(scalar_series(times, np.sin(times)), 2.0)
+        queries = np.array([0.5, 3.0, 6.0, 8.5])
+        assert evaluate(traj, queries).shape == (4, 1)
+        assert evaluate(traj, 3.0).shape == (1,)
+        assert evaluate(scalar, queries).shape == (4,)
+        assert isinstance(evaluate(scalar, 3.0), float)
+        assert np.array_equal(evaluate(traj, queries)[:, 0], evaluate(scalar, queries))
+
 
 class TestValidation:
     def test_non_positive_eta(self):
@@ -805,6 +821,23 @@ class TestValidation:
             VectorObservationSeries(
                 grid=build_time_grid(np.arange(4.0)), values=values, informations=infos
             )
+
+    @pytest.mark.parametrize("values, weights, error, match", [
+        (np.zeros(4), np.ones(3), ShapeMismatch, "weights shape"),
+        (np.zeros(4), np.ones((4, 1)), ShapeMismatch, "weights shape"),
+        (np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), DataError, "must be finite"),
+        (np.array([0.0, np.inf, 0.0, 0.0]), np.ones(4), DataError, "must be finite"),
+        (np.zeros(4), np.array([1.0, np.inf, 1.0, 1.0]), DegenerateWeights, "finite"),
+    ], ids=["short-weights", "column-weights", "nan-value", "inf-value", "inf-weight"])
+    def test_scalar_series_rejections(self, values, weights, error, match):
+        with pytest.raises(error, match=match):
+            ScalarObservationSeries(
+                grid=build_time_grid(np.arange(4.0)), values=values, weights=weights
+            )
+
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(ShapeMismatch, match="one-dimensional"):
+            build_time_grid(np.arange(6.0).reshape(3, 2))
 
     def test_oracle_size_cap(self):
         times = np.arange(250.0)

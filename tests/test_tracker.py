@@ -476,10 +476,13 @@ class TestValidation:
         for value in (math.nan, math.inf):
             with pytest.raises(ShapeMismatch, match="must be finite"):
                 tracker.step_scalar(5.0, value, 1.0)
-        for info in (0.0, -1.0, math.nan):
-            with pytest.raises(UsageError, match="must be positive"):
+        for info in (-1.0, math.nan, math.inf):
+            with pytest.raises(UsageError, match="finite and non-negative"):
                 tracker.step_scalar(5.0, 5.0, info)
-        assert tracker.step_scalar(5.0, 5.0, 1.0).usable_points == 5
+        # Zero information is a gap, as a zero-weight row is for track.
+        gap = tracker.step_scalar(5.0, 5.0, 0.0)
+        assert (gap.provenance, gap.weight, gap.usable_points) == (PROVENANCE_DROPPED, 0.0, 4)
+        assert tracker.step_scalar(6.0, 5.0, 1.0).usable_points == 5
 
 
 class ReSolvingTracker:
