@@ -41,6 +41,7 @@ from .solver import (
     ScalarObservationSeries,
     ShadowingTrajectory,
     VectorObservationSeries,
+    _symmetrized,
 )
 from .tracker import TrackPoint, _scalar_fix
 
@@ -279,8 +280,10 @@ def _columns(table: Table) -> list:
             columns.append(table.strings(name))
             continue
         column = table.floats(name)
-        gaps = (table.schema, name) == (SCHEMA_SCALAR_OBS, "value")
-        bad = np.flatnonzero(~(np.isfinite(column) | (gaps & np.isnan(column))))
+        accepted = np.isfinite(column)
+        if (table.schema, name) == (SCHEMA_SCALAR_OBS, "value"):
+            accepted |= np.array([cell == "" for cell in table.strings(name)], dtype=bool)
+        bad = np.flatnonzero(~accepted)
         if bad.size:
             raise SchemaError(f"expected a finite number, got {column[bad[0]]}",
                               row=int(bad[0]), column=name)
@@ -397,11 +400,18 @@ def read_vector_observations(path: str) -> VectorObservationSeries:
 
 
 def _vector_series(table: Table) -> VectorObservationSeries:
+    """The series of a vector observation table.
+
+    Each row's information matrix is checked on its own, so an indefinite
+    one raises SchemaError naming its row.
+    """
     times, x, y, ixx, ixy, iyy = _columns(table)
+    informations = _informations(ixx, ixy, iyy)
+    _by_row(lambda info: _symmetrized(info[None], where="of this row"), zip(informations))
     return VectorObservationSeries(
         grid=build_time_grid(times),
         values=np.column_stack([x, y]),
-        informations=_informations(ixx, ixy, iyy),
+        informations=informations,
     )
 
 

@@ -379,8 +379,16 @@ def two_ranges_to_position(
         raise CoincidentSites("range sites must be distinct")
     axis = baseline / spacing
     normal = np.array([-axis[1], axis[0]])
-    along = (spacing**2 + r_a**2 - r_b**2) / (2.0 * spacing)
-    height_sq = r_a**2 - along**2
+    # Products, not **: squaring a Python float past about 1e154 raises
+    # OverflowError, and the factored difference of squares stays finite
+    # when the ranges are huge but close. What still overflows is an inf.
+    along = (spacing * spacing + (r_a - r_b) * (r_a + r_b)) / (2.0 * spacing)
+    height_sq = (r_a - along) * (r_a + along)
+    if not (math.isfinite(along) and math.isfinite(height_sq)):
+        longest = max((spacing, None), (r_a, "range_a"), (r_b, "range_b"),
+                      key=lambda item: item[0])
+        raise DataError(f"ranges {r_a:g} and {r_b:g} from sites {spacing:g} apart "
+                        "overflow the circle intersection", argument=longest[1])
     intersects = height_sq >= 0.0
     height = math.sqrt(height_sq) if intersects else 0.0
     foot = a + along * axis

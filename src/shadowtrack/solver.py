@@ -27,10 +27,15 @@ replaced by a pin on the final velocity and each sample's unknowns
 blocks of 5d unknowns. One sweep of small Householder QR factorizations
 solves it for d + 1 right-hand sides at once: the data with the pin at
 zero gives a particular solution, and zero data with the pin at each unit
-vector gives the d null directions. A second sweep on the residual (one
-step of iterative refinement) recovers the digits that badly spread gaps
-cost the first. Time and memory grow linearly in the number of samples,
-and the accelerations come out of the same solve.
+vector gives the d null directions. A second pass reuses the first pass's
+panels, triangles and back-substitution operator, and only repeats the
+QR calls that carry new right-hand sides through: the first solution's
+residual (one step of iterative refinement, which recovers the digits
+that badly spread gaps cost the first pass) and the derivative of the
+solution with respect to eta, from which each fit reports d log xi /
+d log eta for the eta search's Newton steps. Time and memory grow
+linearly in the number of samples, and the accelerations come out of
+the same solve.
 
 Eliminating the duals is causal, so the scheme's approximation error
 gathers at the start of the window the system is built on. A tracker
@@ -231,6 +236,9 @@ class ShadowingTrajectory:
     # Rank of the master system, d n for n + 1 samples: the solve raises
     # SingularSystem rather than return a rank-deficient fit.
     rank: int
+    # d log xi / d log eta at ``eta``, where xi is ``rms_acceleration`` of
+    # this fit; NaN when xi is zero.
+    log_xi_slope: float = np.nan
 
     @property
     def dim(self) -> int:
@@ -312,60 +320,98 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     return rows
 
 
-def _sweep(rows: np.ndarray) -> np.ndarray:
-    """Solve block-tridiagonal rows from ``_stationarity_rows`` by QR.
+def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve block-tridiagonal rows from ``_stationarity_rows`` by QR, refined once.
 
     Each panel stacks the carried, triangularized rows of the previous
     panel on the next few row blocks; one Householder QR eliminates their
     leading samples, keeps the final rows of R and carries the rest. Back
-    substitution then runs over the panels in reverse. Returns the
-    (m, b, k) solution for every right-hand side.
+    substitution then runs over the panels in reverse, as x = c - H x_after
+    per panel. Returns the (m, b, k) solution for every right-hand side,
+    and its derivative with respect to eta.
+
+    A second pass reuses the panels, the triangles and H: only its
+    right-hand sides are new. They are the first solution's residual (one
+    step of iterative refinement) and, for each column x of that
+    solution, -(dK/d eta) x. Eta enters the scaled coefficients K only as
+    2 eta I over each acceleration-stationarity row's scale, so these
+    columns solve for dx/d eta. The QR calls are repeated, which applies
+    each panel's orthogonal factor to the new columns. On affine data over
+    gaps spread across 3 to 5 decades the first pass keeps only 7 to 2
+    digits; the correction restores 10 or more.
     """
     m, b, width = rows.shape
-    k = width - 3 * b
+    d, k = b // 5, width - 3 * b
     s = max(1, round(PANEL_ROWS / b))  # row blocks per panel
     panels = -(-(m - 1) // s)
     padded = 1 + panels * s
-    if padded > m:
-        # Decoupled identity blocks with zero right-hand side.
-        pad = np.zeros((padded - m, b, width))
-        pad[:, :, b:2 * b] = np.eye(b)
-        rows = np.concatenate([rows, pad])
     sb, cols = s * b, (s + 2) * b
     # Panel g holds b carried rows over row blocks g s + 1 ... g s + s, in
-    # the columns of samples g s ... g s + s + 1 and the right-hand sides.
-    work = np.zeros((panels + 1, sb + b, cols + k))
+    # the columns of samples g s ... g s + s + 1, then the right-hand sides:
+    # k in the first pass, 2 k in the second.
+    work = np.zeros((panels + 1, sb + b, cols + 2 * k))
     for t in range(s):
-        block = work[:-1, (t + 1) * b:(t + 2) * b]
-        block[:, :, t * b:(t + 3) * b] = rows[1 + t::s, :, :3 * b]
-        block[:, :, cols:] = rows[1 + t::s, :, 3 * b:]
+        blocks = rows[1 + t::s, :, :3 * b]
+        work[:len(blocks), (t + 1) * b:(t + 2) * b, t * b:(t + 3) * b] = blocks
     work[0, :b, :2 * b] = rows[0, :, b:3 * b]
-    work[0, :b, cols:] = rows[0, :, 3 * b:]
+    # Row blocks m ... padded - 1 pad the last panel: decoupled identities
+    # with zero right-hand side.
+    for i in range(m, padded):
+        g, t = divmod(i - 1, s)
+        work[g, (t + 1) * b:(t + 2) * b, (t + 1) * b:(t + 2) * b] = np.eye(b)
+
+    def set_rhs(rhs: np.ndarray) -> None:
+        full = np.zeros((padded,) + rhs.shape[1:])
+        full[:m] = rhs
+        work[:-1, b:, cols:cols + rhs.shape[2]] = full[1:].reshape(panels, sb, -1)
+        work[0, :b, cols:cols + rhs.shape[2]] = full[0]
+
+    set_rhs(rows[:, :, 3 * b:])
     upper = np.triu(np.ones((b, b)))
     done = np.empty((panels, sb, cols + k))
     for g in range(panels):
         # LAPACK's raw layout holds R transposed; entries below its
         # diagonal are reflectors, masked off in the carried rows.
-        r = np.linalg.qr(work[g], mode="raw")[0].T
+        r = np.linalg.qr(work[g, :, :cols + k], mode="raw")[0].T
         done[g] = r[:sb]
         carry = work[g + 1, :b]
         np.multiply(r[sb:, sb:sb + b], upper, out=carry[:, :b])
         carry[:, b:2 * b] = r[sb:, sb + b:cols]
-        carry[:, cols:] = r[sb:, cols:]
-    last = work[panels, :b]
+        carry[:, cols:cols + k] = r[sb:, cols:]
+    last = work[panels, :b, :b]
     pivots = np.abs(np.concatenate([np.diagonal(done[:, :, :sb], axis1=1, axis2=2).ravel(),
                                     np.diagonal(last)]))
     _require_nonsingular(pivots.min(), pivots.max())
-    # x_panel = c - H [x_next; x_after] for each panel's leading samples.
-    solved = _back_substitute(done[:, :, :sb], done[:, :, sb:])
-    H, c = solved[:, :, :2 * b], solved[:, :, 2 * b:]
-    x = np.zeros((padded + 1, b, k))
-    x[padded - 1] = np.linalg.solve(last[:, :b], last[:, cols:])
-    for g in range(panels - 1, -1, -1):
-        j = g * s
-        after = x[j + s:j + s + 2].reshape(2 * b, k)
-        x[j:j + s] = (c[g] - H[g] @ after).reshape(s, b, k)
-    return x[:m]
+    tri = done[:, :, :sb]
+    solved = _back_substitute(tri, done[:, :, sb:])
+    H = solved[:, :, :2 * b]
+
+    def substitute(c: np.ndarray) -> np.ndarray:
+        x = np.zeros((padded + 1, b, c.shape[2]))
+        x[padded - 1] = np.linalg.solve(last, work[panels, :b, cols:cols + c.shape[2]])
+        for g in range(panels - 1, -1, -1):
+            j = g * s
+            after = x[j + s:j + s + 2].reshape(2 * b, -1)
+            x[j:j + s] = (c[g] - H[g] @ after).reshape(s, b, -1)
+        return x[:m]
+
+    x = substitute(solved[:, :, 2 * b:])
+    rhs = np.zeros((m, b, 2 * k))
+    rhs[:, :, :k] = rows[:, :, 3 * b:] - _block_product(rows, x)
+    # d(K x)/d eta on each acceleration-stationarity row is its a coefficient over eta.
+    scaled = np.diagonal(rows[:-1, 2 * d:3 * d, b + 2 * d:b + 3 * d], axis1=1, axis2=2)
+    rhs[:-1, 2 * d:3 * d, k:] = -(scaled / eta)[:, :, None] * x[:-1, 2 * d:3 * d]
+    set_rhs(rhs)
+    ends = np.empty((panels, sb, 2 * k))
+    for g in range(panels):
+        r = np.linalg.qr(work[g], mode="raw")[0].T
+        ends[g] = r[:sb, cols:]
+        work[g + 1, :b, cols:] = r[sb:, cols:]
+    step = substitute(_back_substitute(tri, ends))
+    x += step[:, :, :k]
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("stationarity solve produced non-finite values")
+    return x, step[:, :, k:]
 
 
 def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -384,23 +430,6 @@ def _block_product(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     padded = np.concatenate([edge, x, edge])
     return (rows[:, :, :b] @ padded[:-2] + rows[:, :, b:2 * b] @ padded[1:-1]
             + rows[:, :, 2 * b:3 * b] @ padded[2:])
-
-
-def _refined_sweep(rows: np.ndarray) -> np.ndarray:
-    """``_sweep`` followed by one step of iterative refinement.
-
-    The first solution's residual replaces the right-hand sides of
-    ``rows`` (which are overwritten) and is swept again. On affine data
-    over gaps spread across 3 to 5 decades the first sweep keeps only 7
-    to 2 digits; the correction restores 10 or more.
-    """
-    b = rows.shape[1]
-    x = _sweep(rows)
-    rows[:, :, 3 * b:] -= _block_product(rows, x)
-    x += _sweep(rows)
-    if not np.all(np.isfinite(x)):
-        raise SingularSystem("stationarity solve produced non-finite values")
-    return x
 
 
 def _master_residual(taus, values, infos, eta, p) -> float:
@@ -435,14 +464,25 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     if time_reversed:
         # Mirrored time has the same gaps in reverse order.
         taus, values, infos = taus[::-1], values[::-1], infos[::-1]
-    x = _refined_sweep(_stationarity_rows(taus, values, infos, eta))
+    x, dx = _sweep(_stationarity_rows(taus, values, infos, eta), eta)
     p0, z = x[:, :d, 0], x[:, :d, 1:]
     wz = np.einsum("jab,jbc->jac", infos, z)
     gram = np.einsum("jac,jad->cd", z, wz)
     beta = np.einsum("jac,ja->c", wz, values - p0)
     alpha = np.linalg.lstsq(gram, beta, rcond=None)[0]
     p = p0 + z @ alpha
-    a = x[:-1, 2 * d:3 * d, 0] + x[:-1, 2 * d:3 * d, 1:] @ alpha
+    acc, dacc = x[:-1, 2 * d:3 * d], dx[:-1, 2 * d:3 * d]
+    a = acc[:, :, 0] + acc[:, :, 1:] @ alpha
+    # d alpha / d eta from gram alpha = beta, then da / d eta.
+    dz = dx[:, :d, 1:]
+    dgram = np.einsum("jac,jad->cd", dz, wz)
+    dbeta = (np.einsum("jac,jab,jb->c", dz, infos, values - p0)
+             - np.einsum("jac,ja->c", wz, dx[:, :d, 0]))
+    dalpha = np.linalg.lstsq(gram, dbeta - (dgram + dgram.T) @ alpha, rcond=None)[0]
+    da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
+    t = taus[:, None]
+    power = float(np.sum(t * a * a))
+    slope = eta * float(np.sum(t * a * da)) / power if power > 0.0 else np.nan
     resid = _master_residual(taus, values, infos, eta, p)
     if time_reversed:
         p, a = p[::-1], a[::-1]
@@ -453,7 +493,7 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     return ShadowingTrajectory(
         grid=grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
         accelerations=_frozen(a), time_reversed=time_reversed,
-        residual_norm=resid, rank=d * (m - 1),
+        residual_norm=resid, rank=d * (m - 1), log_xi_slope=slope,
     )
 
 
@@ -641,12 +681,15 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
 
     RMS acceleration decreases as eta grows, so the bracket must satisfy
     xi(eta_lo) >= xi_target >= xi(eta_hi). The search runs in log(eta):
-    odd iterations take a false-position step, even iterations bisect. It
-    stops once xi is within ``SEARCH_REL_TOL`` of the target and raises
-    MaxIterations after ``SEARCH_MAX_ITERATIONS`` steps. When even eta_lo
-    already meets the bound (xi(eta_lo) < target, e.g. affine data), the
-    smoothest end eta_hi is returned by convention. The result carries
-    the fit at the returned eta, so no caller need solve it again.
+    each step is a Newton step on log xi from the latest fit, using its
+    ``log_xi_slope``, and bisects the bracket instead when that step would
+    leave it or the slope is not negative. The first step starts from the
+    bracket end nearer the target in log xi. The search stops once xi is
+    within ``SEARCH_REL_TOL`` of the target and raises MaxIterations after
+    ``SEARCH_MAX_ITERATIONS`` steps. When even eta_lo already meets the
+    bound (xi(eta_lo) < target, e.g. affine data), the smoothest end
+    eta_hi is returned by convention. The result carries the fit at the
+    returned eta, so no caller need solve it again.
     """
     xi_target = float(xi_target)
     if not (np.isfinite(xi_target) and xi_target >= 0.0):
@@ -682,27 +725,24 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
         # The whole bracket already satisfies the bound; prefer smoothest.
         return result(fit_hi, xi_hi, 0)
 
-    # Work in log space: eta ranges over decades and xi(log eta) is gentler.
-    # Bisecting every other step halves the bracket at least every two
-    # steps, so false position (f_lo > 0 > f_hi) cannot stall at one end;
-    # its points within 2% of the span of either end are bisected too.
-    x_lo, f_lo = np.log(eta_lo), xi_lo - xi_target
-    x_hi, f_hi = np.log(eta_hi), xi_hi - xi_target
+    # log xi is close to linear in log eta over decades, so Newton steps
+    # in log space converge in few solves. Every fit narrows the bracket.
+    x_lo, x_hi = np.log(eta_lo), np.log(eta_hi)
+    nearer_lo = xi_lo * (xi_hi / xi_target) < xi_target
+    fit, xi = (fit_lo, xi_lo) if nearer_lo else (fit_hi, xi_hi)
     for iteration in range(1, SEARCH_MAX_ITERATIONS + 1):
-        span = x_hi - x_lo
         x_new = 0.5 * (x_lo + x_hi)
-        if iteration % 2 == 1:
-            secant = x_hi - f_hi * span / (f_hi - f_lo)
-            if x_lo + 0.02 * span < secant < x_hi - 0.02 * span:
-                x_new = secant
-        eta_new = float(np.exp(x_new))
-        fit_new, xi_new = fit_at(eta_new)
-        if abs(xi_new - xi_target) <= tol:
-            return result(fit_new, xi_new, iteration)
-        if xi_new > xi_target:
-            x_lo, f_lo = x_new, xi_new - xi_target
+        if xi > 0.0 and fit.log_xi_slope < 0.0:
+            newton = np.log(fit.eta) - np.log(xi / xi_target) / fit.log_xi_slope
+            if x_lo < newton < x_hi:
+                x_new = newton
+        fit, xi = fit_at(float(np.exp(x_new)))
+        if abs(xi - xi_target) <= tol:
+            return result(fit, xi, iteration)
+        if xi > xi_target:
+            x_lo = x_new
         else:
-            x_hi, f_hi = x_new, xi_new - xi_target
+            x_hi = x_new
     raise MaxIterations(
         f"eta search did not reach |xi - {xi_target:g}| <= {tol:g} within "
         f"{SEARCH_MAX_ITERATIONS} iterations (bracket [{np.exp(x_lo):g}, {np.exp(x_hi):g}])"

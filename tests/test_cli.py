@@ -562,7 +562,8 @@ class TestNonFiniteCells:
     """Every empty, non-finite or out-of-range numeric cell exits 3 naming its row and column.
 
     The one exception, an empty value cell of a scalar observation table,
-    is a gap (``TestTrack.test_scalar_stream_with_gaps``).
+    is a gap (``TestTrack.test_scalar_stream_with_gaps``); the text ``nan``
+    there is not.
     """
 
     @pytest.mark.parametrize("command, schema, column, text", [
@@ -570,6 +571,8 @@ class TestNonFiniteCells:
         ("track", "raw", "w", ""),
         ("track", "raw", "iyy", "inf"),
         ("track", "scalar", "value", "inf"),
+        ("track", "scalar", "value", "nan"),
+        ("filter", "scalar", "value", "nan"),
         ("track", "scalar", "t", ""),
         ("filter", "vector", "y", ""),
         ("filter", "vector", "t", ""),
@@ -596,6 +599,25 @@ class TestNonFiniteCells:
         assert run_cli(command, *argv, "--out", str(out)) == 3
         err = capsys.readouterr().err
         assert f"(row 2, column {column!r})" in err
+        assert not out.exists()
+
+    def test_filter_names_the_row_of_an_indefinite_information(self, tmp_path, capsys):
+        path = write_reader_input(tmp_path, "vector")
+        replace_cell(path, 2, "ixx", "-1")
+        out = tmp_path / "out"
+        assert run_cli("filter", path, "--eta", "5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "has eigenvalue" in err and err.rstrip().endswith("(row 2)")
+        assert not out.exists()
+
+    def test_range_pair_past_float_squares_exits_3(self, tmp_path, capsys):
+        path = write_reader_input(tmp_path, "range-pairs")
+        replace_cell(path, 2, "range_a", "1e200")
+        replace_cell(path, 2, "range_b", "1e200")
+        out = tmp_path / "out"
+        assert run_cli("transform", path, str(tmp_path / "geo.json"), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "overflow" in err and "(row 2, column 'range_a')" in err
         assert not out.exists()
 
 
@@ -639,7 +661,7 @@ class TestReaderFuzz:
             column = draw(st.sampled_from(columns))
             texts = ["", "nan", "inf", "-inf", *self.OUT_OF_RANGE.get(column, [])]
             if (schema, column) == ("scalar", "value"):
-                texts = texts[2:]  # an empty or NaN value cell is a gap
+                texts = texts[1:]  # an empty value cell is a gap
             return column, draw(st.sampled_from(texts) | words)
 
         @settings(max_examples=25, derandomize=True, database=None, deadline=None)

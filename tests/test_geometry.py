@@ -538,6 +538,17 @@ class TestRejections:
                                    variance_a=variances[0], variance_b=variances[1])
         assert caught.value.argument == argument
 
+    @pytest.mark.parametrize("ranges, sites, argument", [
+        ((1e200, 1e200), ([0.0, 0.0], [4.0, 0.0]), "range_a"),
+        ((1.0, 1e200), ([0.0, 0.0], [4.0, 0.0]), "range_b"),
+        ((1.0, 2.0), ([0.0, 0.0], [1e200, 0.0]), None),
+    ])
+    def test_two_ranges_overflow_is_a_data_error(self, ranges, sites, argument):
+        """Squaring a length past about 1e154 overflows; that is bad data, not a crash."""
+        with pytest.raises(DataError, match="overflow the circle intersection") as caught:
+            two_ranges_to_position(*sites, *ranges, [2.0, 1.0])
+        assert caught.value.argument == argument
+
     @pytest.mark.parametrize("variances, argument", [
         ((0.0, 1.0), "variance_a"), ((1.0, math.nan), "variance_b"),
     ])

@@ -23,6 +23,7 @@ from shadowtrack import (
     build_time_grid,
     evaluate_spline,
     evaluate_spline_velocity,
+    gen_planar_path,
     gen_scalar_rednoise,
     oracle_residuals,
     range_bearing_to_position,
@@ -433,7 +434,7 @@ class TestDenseReference:
             for i in range(m):
                 dense[i * b:(i + 1) * b, i * b:(i + 3) * b] = rows[i, :, :3 * b]
             expected = np.linalg.solve(dense[:, b:-b], rows[:, :, 3 * b:].reshape(m * b, -1))
-            found = solver._refined_sweep(rows.copy()).reshape(m * b, -1)
+            found = solver._sweep(rows.copy(), eta)[0].reshape(m * b, -1)
             assert np.abs(found - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -647,6 +648,39 @@ class TestEtaSearch:
         for name in ("positions", "velocities", "accelerations"):
             assert np.array_equal(getattr(result.trajectory, name), getattr(again, name))
         assert result.trajectory.residual_norm == again.residual_norm
+
+
+class TestNewtonSearch:
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_log_xi_slope_matches_central_difference(self, dim, time_reversed):
+        rng = np.random.default_rng([41, dim])
+        obs = random_vector_series(rng, 60, dim)
+        step = 1e-5
+        for eta in (1e-3, 1.0, 1e3, 1e6):
+            slope = solve_vector(obs, eta, time_reversed=time_reversed).log_xi_slope
+            up, down = (np.log(rms_acceleration(
+                solve_vector(obs, eta * np.exp(h), time_reversed=time_reversed)))
+                for h in (step, -step))
+            assert slope == pytest.approx((up - down) / (2.0 * step), rel=1e-5)
+
+    def test_log_xi_slope_is_nan_without_acceleration(self):
+        times = np.arange(6.0)
+        traj = solve_scalar(scalar_series(times, np.zeros(6)), 3.0)
+        assert rms_acceleration(traj) == 0.0
+        assert np.isnan(traj.log_xi_slope)
+
+    def test_search_solves_at_most_ten(self):
+        """The most solves any of these 72 searches took, with the CLI's default bracket."""
+        for gen in (gen_planar_path, gen_scalar_rednoise):
+            for seed in range(12):
+                obs = gen(seed).observations
+                solve = solve_scalar if gen is gen_scalar_rednoise else solve_vector
+                xi = rms_acceleration(solve(obs, 10.0))
+                for target in (0.3 * xi, xi, 3.0 * xi):
+                    result = search_eta(obs, target, 1e-4, 1e8)
+                    assert abs(result.xi - target) <= solver.SEARCH_REL_TOL * target
+                    assert len(result.trace) <= 10, (gen.__name__, seed, target)
 
 
 class TestRmsAcceleration:
