@@ -30,7 +30,13 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DataError, IOFailure, SchemaError
+from .errors import (
+    DataError,
+    IndefiniteInformation,
+    IOFailure,
+    NonSymmetricInformation,
+    SchemaError,
+)
 from .geometry import (
     PROVENANCE_VALUES,
     PolarObservation,
@@ -402,17 +408,21 @@ def read_vector_observations(path: str) -> VectorObservationSeries:
 def _vector_series(table: Table) -> VectorObservationSeries:
     """The series of a vector observation table.
 
-    Each row's information matrix is checked on its own, so an indefinite
-    one raises SchemaError naming its row.
+    An asymmetric or indefinite information matrix raises SchemaError
+    naming its row.
     """
     times, x, y, ixx, ixy, iyy = _columns(table)
     informations = _informations(ixx, ixy, iyy)
-    _by_row(lambda info: _symmetrized(info[None], where="of this row"), zip(informations))
-    return VectorObservationSeries(
-        grid=build_time_grid(times),
-        values=np.column_stack([x, y]),
-        informations=informations,
-    )
+    try:
+        return VectorObservationSeries(
+            grid=build_time_grid(times),
+            values=np.column_stack([x, y]),
+            informations=informations,
+        )
+    except (NonSymmetricInformation, IndefiniteInformation):
+        # Only a failing table pays for finding the row, one check per row.
+        _by_row(lambda info: _symmetrized(info[None], where="of this row"), zip(informations))
+        raise
 
 
 def write_truth(

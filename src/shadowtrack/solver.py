@@ -683,8 +683,9 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
     xi(eta_lo) >= xi_target >= xi(eta_hi). The search runs in log(eta):
     each step is a Newton step on log xi from the latest fit, using its
     ``log_xi_slope``, and bisects the bracket instead when that step would
-    leave it or the slope is not negative. The first step starts from the
-    bracket end nearer the target in log xi. The search stops once xi is
+    leave it, would be longer than half the step before last, or the
+    slope is not negative. The first step starts from the bracket end
+    nearer the target in log xi. The search stops once xi is
     within ``SEARCH_REL_TOL`` of the target and raises MaxIterations after
     ``SEARCH_MAX_ITERATIONS`` steps. When even eta_lo already meets the
     bound (xi(eta_lo) < target, e.g. affine data), the smoothest end
@@ -727,15 +728,21 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
 
     # log xi is close to linear in log eta over decades, so Newton steps
     # in log space converge in few solves. Every fit narrows the bracket.
+    # As in rtsafe (Numerical Recipes, sec. 9.4), a Newton step longer than
+    # half the step before last is replaced by a bisection, so a poor slope
+    # cannot stall the search.
     x_lo, x_hi = np.log(eta_lo), np.log(eta_hi)
     nearer_lo = xi_lo * (xi_hi / xi_target) < xi_target
     fit, xi = (fit_lo, xi_lo) if nearer_lo else (fit_hi, xi_hi)
+    step_before = step = x_hi - x_lo
     for iteration in range(1, SEARCH_MAX_ITERATIONS + 1):
+        x = np.log(fit.eta)
         x_new = 0.5 * (x_lo + x_hi)
         if xi > 0.0 and fit.log_xi_slope < 0.0:
-            newton = np.log(fit.eta) - np.log(xi / xi_target) / fit.log_xi_slope
-            if x_lo < newton < x_hi:
+            newton = x - np.log(xi / xi_target) / fit.log_xi_slope
+            if x_lo < newton < x_hi and abs(newton - x) <= 0.5 * abs(step_before):
                 x_new = newton
+        step_before, step = step, x_new - x
         fit, xi = fit_at(float(np.exp(x_new)))
         if abs(xi - xi_target) <= tol:
             return result(fit, xi, iteration)

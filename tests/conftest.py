@@ -7,5 +7,7 @@ except ImportError:  # hypothesis is an optional test dependency
 else:
     # CI selects this profile with --hypothesis-profile=ci: the same
     # examples on every run, no example database left behind, and no
-    # per-example deadline on a runner whose speed varies.
+    # per-example deadline on a runner whose speed varies. Tests set only
+    # their example counts, so a run without the option draws fresh
+    # examples under hypothesis's defaults.
     settings.register_profile("ci", derandomize=True, database=None, deadline=None)

@@ -664,7 +664,7 @@ class TestReaderFuzz:
                 texts = texts[1:]  # an empty value cell is a gap
             return column, draw(st.sampled_from(texts) | words)
 
-        @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+        @settings(max_examples=25)
         @given(row=st.integers(0, READER_TIMES.size - 1), cell=corruptions())
         def check(row, cell):
             column, text = cell

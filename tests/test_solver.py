@@ -1,5 +1,7 @@
 """Batch solver behavior against closed forms and the dense stationarity oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -681,6 +683,21 @@ class TestNewtonSearch:
                     result = search_eta(obs, target, 1e-4, 1e8)
                     assert abs(result.xi - target) <= solver.SEARCH_REL_TOL * target
                     assert len(result.trace) <= 10, (gen.__name__, seed, target)
+
+    @pytest.mark.parametrize("factor", [0.5, 10.0])
+    def test_search_converges_on_a_wrong_slope(self, factor, monkeypatch):
+        """A slope off by ``factor`` makes Newton steps overshoot or creep; bisection takes over."""
+        solve_any = solver._solve_any
+
+        def wrong_slope(obs, eta):
+            fit = solve_any(obs, eta)
+            return replace(fit, log_xi_slope=factor * fit.log_xi_slope)
+
+        monkeypatch.setattr(solver, "_solve_any", wrong_slope)
+        obs = gen_planar_path(3).observations
+        target = 0.3 * rms_acceleration(solve_vector(obs, 10.0))
+        result = search_eta(obs, target, 1e-4, 1e8)
+        assert abs(result.xi - target) <= solver.SEARCH_REL_TOL * target
 
 
 class TestRmsAcceleration:
