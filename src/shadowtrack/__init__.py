@@ -17,8 +17,8 @@ Public layers:
 * :mod:`shadowtrack.geometry` converts sensor readings into position
   estimates with information matrices and condition weights.
 * :mod:`shadowtrack.tracker` runs a sequential tracker with configurable
-  gap policies. Over the full history it eliminates one sample per fix
-  and never re-solves; a sliding window re-solves its samples each step.
+  gap policies. Over the full history or a sliding window it eliminates
+  one sample per fix and never re-solves.
 * :mod:`shadowtrack.scenarios` generates seeded synthetic data sets.
 * :mod:`shadowtrack.fileio` reads and writes the CSV/JSON interchange
   formats used by the ``shadow-track`` command line tool.

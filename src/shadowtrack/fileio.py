@@ -150,12 +150,18 @@ def write_table(
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def read_table(path: str, *, expect_schema: Optional[str] = None) -> Table:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            raw_lines = handle.read().split("\n")
+            return handle.read()
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_table(path: str, *, expect_schema: Optional[str] = None) -> Table:
+    raw_lines = _read_text(path).split("\n")
     meta: dict[str, str] = {}
     body: list[str] = []
     for line in raw_lines:
@@ -175,7 +181,11 @@ def read_table(path: str, *, expect_schema: Optional[str] = None) -> Table:
         raise SchemaError(
             f"{path} holds schema {schema!r}, expected {expect_schema!r}"
         )
-    parsed = list(csv.reader(body))
+    parsed: list[list[str]] = []
+    try:
+        parsed.extend(csv.reader(body))  # keeps the rows before a bad one, to name it
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: {exc}", row=len(parsed) - 1 if parsed else None) from None
     if not parsed:
         raise SchemaError(f"{path} has no header row")
     names = tuple(parsed[0])
@@ -200,12 +210,7 @@ def write_json(path: str, payload: Mapping[str, object]) -> None:
 
 def read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IOFailure(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -498,94 +498,112 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
 
 
 class _IncrementalSolve:
-    """The default (time-reversed) solve of a growing series, one sample at a time.
+    """The default (time-reversed) solve of a growing or sliding series, one sample at a time.
 
-    Number the samples 0 (oldest) to N (newest). The pinned system of
-    ``_solve`` is eliminated from its pin at sample 0 toward the newest
-    sample, the square-root information form of the smoother: the rows
-    left over after eliminating samples 0 ... N-2 (the carry) are b = 5d
+    Number the samples 0 (oldest) to N (newest). A chain eliminates the
+    pinned system of ``_solve`` over samples j ... N from its pin at sample
+    j toward the newest, the square-root information form of the smoother:
+    the rows left after eliminating samples j ... N-2 (the carry) are b = 5d
     triangularized equations in the unknowns of samples N-1 and N. Row
-    block N-1 is final once sample N has arrived, because only then does
-    it couple to sample N's lambda and mu; one QR of it stacked under the
-    carry eliminates sample N-2 and leaves the next carry. Each row block
-    comes from ``_stationarity_rows`` on a three-sample slice, so the
-    equations are the batch solve's.
+    block N-1 is final once sample N has arrived, as only then does it
+    couple to sample N's lambda and mu; one QR of it under the carry
+    eliminates sample N-2. Row blocks come from ``_stationarity_rows`` on
+    three-sample slices, so the equations are the batch solve's, and only
+    a chain's first block, its pin, is its own: all chains advance with one
+    stacked QR and solve per sample. Full history keeps one chain, pinned
+    at sample 0. A sliding solve pins one at every sample once two more
+    have arrived, ``retire`` drops those pinned before the window, and the
+    window's state comes from the oldest chain left.
 
     The eliminated unknowns are affine in the newest pair S = (x_{N-1},
-    x_N), each with the d + 1 right-hand sides of ``_solve`` as columns.
-    So Gram = sum z^T W z and beta = sum z^T W (y - p0), which choose
-    alpha, are read off quadratic forms in S, and the forms follow each
-    elimination by congruence. Every sample costs constant work, so the
-    newest state never re-solves the history. There is no refinement
-    step. On streams with gaps spread over four decades the newest state
-    agreed with ``_solve`` to 1e-9 of its scale, except noise-dominated
-    streams at eta 1e-3, where the two differed by up to 2e-8 and
-    either could be the one off. That needs the carried rows rescaled to
-    unit largest coefficient after each step, like the batch rows: left
-    as QR returns them, the error reached 2e-6.
+    x_N), with the d + 1 right-hand sides of ``_solve`` as columns, so the
+    residuals W^{1/2} [p0 - y | z] that choose alpha are rows on [S; I],
+    substituted after each elimination. Alpha solves their least squares:
+    a window's null directions can be 1e-7 of its positions, and normal
+    equations then lost 1e-3 of alpha. With no refinement step, the newest
+    state agreed with ``_solve`` to 1e-9 of its scale over gaps spread on
+    four decades (1e-8 for noise at eta 1e-3, either side off), once the
+    carry is rescaled to unit largest coefficient each step (else 2e-6).
     """
 
-    def __init__(self, dim: int, eta: float):
-        self.dim, self.eta = dim, eta
-        self.count = 0
-        self._recent: deque = deque(maxlen=3)  # (time, value, info), oldest first
+    def __init__(self, dim: int, eta: float, sliding: bool):
+        self.dim, self.eta, self.sliding = dim, eta, sliding
+        self._recent: deque = deque(maxlen=3)  # (time, value, W, W^{1/2}), oldest first
         b, k = 5 * dim, dim + 1
-        self._carry = np.zeros((b, 2 * b + k))
+        # Per chain, oldest pin first: the pin's time, the carry, the residual
+        # rows of its samples up to N-2, its smallest and largest pivot.
+        self._pins = np.zeros(0)
+        self._carry = np.zeros((0, b, 2 * b + k))
+        self._residual = np.zeros((0, 2 * b + k, 2 * b + k))
+        self._pivots = np.zeros((0, 2))
         self._newest_rows = np.zeros((b, 3 * b + k))
-        # (Q, L, C) with sum_j M_j^T W_j M_j = S^T Q S + S^T L + L^T S + C over
-        # samples 0 ... N-2, where M_j = [p0_j - y_j | z_j] is affine in S.
-        self._forms = (np.zeros((2 * b, 2 * b)), np.zeros((2 * b, k)), np.zeros((k, k)))
-        self._pivots = (np.inf, 0.0)  # smallest and largest eliminated pivot
 
     def append(self, time: float, value: np.ndarray, info: np.ndarray) -> None:
         """Add the newest sample; ``info`` must be symmetric and semidefinite."""
-        self._recent.append((time, value, info))
-        self.count += 1
-        if self.count < 3:
+        low, vectors = np.linalg.eigh(info)  # W^{1/2} even of a singular W, unlike Cholesky
+        self._recent.append((time, value, info, np.sqrt(np.maximum(low, 0.0))[:, None] * vectors.T))
+        if len(self._recent) < 3:
             return
         d, b = self.dim, 5 * self.dim
-        (t0, y0, w0), (t1, y1, w1), (t2, y2, w2) = self._recent
+        (t0, y0, w0, root), (t1, y1, w1, _), (t2, y2, w2, _) = self._recent
         rows = _stationarity_rows(np.array([t2 - t1, t1 - t0]), np.stack([y2, y1, y0]),
                                   np.stack([w2, w1, w0]), self.eta)
         # Newest sample first; coupled blocks in the order (older, own, newer).
         blocks = rows[:, :, :3 * b].reshape(3, b, 3, b)[:, :, ::-1].reshape(3, b, 3 * b)
         rows = np.concatenate([blocks, rows[:, :, 3 * b:]], axis=2)
-        if self.count == 3:
-            self._carry = rows[2, :, b:]  # the pin block in (x_0, x_1)
-        work = np.zeros((2 * b, rows.shape[2]))
-        work[:b, :2 * b] = self._carry[:, :2 * b]
-        work[:b, 3 * b:] = self._carry[:, 2 * b:]
-        work[b:] = rows[1]
+        if self.sliding or not self._pins.size:
+            # A chain pinned at sample N-2 starts from its pin block in (x_{N-2}, x_{N-1}).
+            self._pins = np.append(self._pins, t0)
+            self._carry = np.concatenate([self._carry, rows[None, 2, :, b:]])
+            self._residual = np.concatenate(
+                [self._residual, np.zeros((1, *self._residual.shape[1:]))])
+            self._pivots = np.concatenate([self._pivots, [[np.inf, 0.0]]])
+        chains = self._pins.size
+        work = np.zeros((chains, 2 * b, rows.shape[2]))
+        work[:, :b, :2 * b] = self._carry[:, :, :2 * b]
+        work[:, :b, 3 * b:] = self._carry[:, :, 2 * b:]
+        work[:, b:] = rows[1]
         r = np.linalg.qr(work, mode="r")
-        self._pivots = _pivot_range(self._pivots, np.diagonal(r[:b, :b]))
+        self._pivots = _pivot_range(self._pivots, np.diagonal(r[:, :b, :b], axis1=1, axis2=2))
         # The pivot rows give x_{N-2} = solved[:, 2b:] - solved[:, :2b] @ S in
-        # the new pair S = (x_{N-1}, x_N), so the old pair is to_old @ S + shift.
-        solved = np.linalg.solve(r[:b, :b], r[:b, b:])
-        to_old = np.zeros((2 * b, 2 * b))
-        to_old[:b] = -solved[:, :2 * b]
-        to_old[b:, :b] = np.eye(b)
-        shift = np.zeros((2 * b, d + 1))
-        shift[:b] = solved[:, 2 * b:]
-        Q, L, C = _with_sample(self._forms, 0, y0, w0)
-        Qs = Q @ shift
-        self._forms = (to_old.T @ Q @ to_old, to_old.T @ (L + Qs),
-                       C + shift.T @ L + L.T @ shift + shift.T @ Qs)
-        carry = r[b:, b:]
-        self._carry = carry / np.abs(carry[:, :2 * b]).max(axis=1)[:, None]
+        # the new pair S = (x_{N-1}, x_N); substituting it, and x_{N-1} = S[:b],
+        # puts the residual rows on [S; I].
+        solved = np.linalg.solve(r[:, :b, :b], r[:, :b, b:])
+        solved[:, :, :2 * b] *= -1.0
+        old = np.concatenate([self._residual, np.zeros((chains, d, solved.shape[2]))], axis=1)
+        old[:, -d:, :d], old[:, -d:, 2 * b] = root, -root @ y0  # sample N-2 on the old pair
+        residual = old[:, :, :b] @ solved
+        residual[:, :, :b] += old[:, :, b:2 * b]
+        residual[:, :, 2 * b:] += old[:, :, 2 * b:]
+        if residual.shape[1] > 2 * residual.shape[2]:  # a QR per chain, so not every step
+            residual = np.linalg.qr(residual, mode="r")
+        self._residual = residual
+        carry = r[:, b:, b:]
+        self._carry = carry / np.abs(carry[:, :, :2 * b]).max(axis=2)[:, :, None]
         self._newest_rows = rows[0]
 
+    def retire(self, before: float) -> None:
+        """Drop the chains pinned at samples older than ``before``."""
+        kept = slice(int(np.searchsorted(self._pins, before)), None)
+        self._pins, self._carry, self._residual, self._pivots = (
+            self._pins[kept], self._carry[kept], self._residual[kept], self._pivots[kept])
+
     def newest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position, velocity and last-gap acceleration at the newest sample."""
+        """Position, velocity and last-gap acceleration at the newest sample, from the
+        oldest chain, whose own pivots must show a nonsingular system."""
         d, b = self.dim, 5 * self.dim
-        _, (t1, y1, w1), (t2, y2, w2) = self._recent
-        pair = np.concatenate([self._carry, np.concatenate(
+        _, (t1, y1, _, root1), (t2, y2, _, root2) = self._recent
+        pair = np.concatenate([self._carry[0], np.concatenate(
             [self._newest_rows[:, :2 * b], self._newest_rows[:, 3 * b:]], axis=1)])
         r = np.linalg.qr(pair, mode="r")
-        _require_nonsingular(*_pivot_range(self._pivots, np.diagonal(r[:, :2 * b])))
+        _require_nonsingular(*_pivot_range(self._pivots[0], np.diagonal(r[:, :2 * b])))
         S = np.linalg.solve(r[:, :2 * b], r[:, 2 * b:])
-        Q, L, C = _with_sample(_with_sample(self._forms, 0, y1, w1), b, y2, w2)
-        F = S.T @ Q @ S + S.T @ L + L.T @ S + C
-        alpha = np.linalg.lstsq(F[1:, 1:], -F[1:, 0], rcond=None)[0]
+        misfit = S.copy()  # p0 - y | z of samples N-1 and N at rows :d and b:b+d
+        misfit[:d, 0] -= y1
+        misfit[b:b + d, 0] -= y2
+        residuals = np.concatenate([self._residual[0] @ np.concatenate([S, np.eye(d + 1)]),
+                                    root1 @ misfit[:d], root2 @ misfit[b:b + d]])
+        alpha = np.linalg.lstsq(residuals[:, 1:], -residuals[:, 0], rcond=None)[0]
         x = S[:, 0] + S[:, 1:] @ alpha
         if not np.all(np.isfinite(x)):
             raise SingularSystem("stationarity solve produced non-finite values")
@@ -596,11 +614,11 @@ class _IncrementalSolve:
         return p, v, a
 
 
-def _pivot_range(extremes: tuple[float, float], pivots: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest magnitude over ``extremes`` and ``pivots``; NaN propagates."""
+def _pivot_range(extremes: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Smallest and largest magnitude over ``extremes`` (..., 2) and ``pivots``; NaN propagates."""
     pivots = np.abs(pivots)
-    return (float(np.minimum(extremes[0], pivots.min())),
-            float(np.maximum(extremes[1], pivots.max())))
+    return np.stack([np.minimum(extremes[..., 0], pivots.min(axis=-1)),
+                     np.maximum(extremes[..., 1], pivots.max(axis=-1))], axis=-1)
 
 
 def _require_nonsingular(smallest: float, largest: float) -> None:
@@ -617,17 +635,6 @@ def _require_nonsingular(smallest: float, largest: float) -> None:
             "stationarity system is singular to working precision (smallest "
             f"pivot {smallest / largest:.3e} of the largest)"
         )
-
-
-def _with_sample(forms, offset: int, value: np.ndarray, info: np.ndarray):
-    """``forms`` plus the term of the sample whose unknowns start at ``offset`` of S."""
-    Q, L, C = (form.copy() for form in forms)
-    d = value.shape[0]
-    Q[offset:offset + d, offset:offset + d] += info
-    wy = info @ value
-    L[offset:offset + d, 0] -= wy
-    C[0, 0] += value @ wy
-    return Q, L, C
 
 
 def solve_scalar(obs: ScalarObservationSeries, eta: float,

@@ -3,11 +3,11 @@
 Each step appends one timestamped fix (or a gap marker), applies the
 configured missing-data policy, and emits the newest sample of the
 time-reversed smoothing solve, which leaves the scheme's approximation
-error at the oldest samples. The full history (the default) is eliminated
-one sample at a time, so every fix costs constant work however long the
-stream runs; a sliding window re-solves its samples from scratch at every
-step. Either way, ``trajectory`` is the batch solve of the window as of
-the last solved step.
+error at the oldest samples. That solve is eliminated one sample at a
+time and never re-solved: over the full history (the default) every fix
+costs constant work however long the stream runs, over a sliding window
+work in proportion to its length. Either way, ``trajectory`` is the batch
+solve of the window as of the last solved step, built when it is read.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Deque, NamedTuple, Optional
 
 import numpy as np
@@ -75,12 +76,11 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         eta = _require_positive_eta(self.eta)
         if self.window is not None:
-            window = int(self.window)
-            if window < MIN_EFFECTIVE_SAMPLES:
-                raise UsageError(
-                    f"window must be at least {MIN_EFFECTIVE_SAMPLES}, got {window}"
-                )
-            object.__setattr__(self, "window", window)
+            window = float(self.window)
+            if not (window.is_integer() and window >= MIN_EFFECTIVE_SAMPLES):
+                raise UsageError(f"window must be a whole number of at least "
+                                 f"{MIN_EFFECTIVE_SAMPLES} steps, got {self.window!r}")
+            object.__setattr__(self, "window", int(window))
         if self.policy not in POLICIES:
             raise UsageError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         gamma = float(self.forecast_info_scale)
@@ -158,9 +158,9 @@ class _Newest(NamedTuple):
 class SequentialTracker:
     """Streaming tracker: ingest fixes in time order, emit state estimates.
 
-    One instance is single-writer; steps mutate the window. The latest
-    full-window solution stays available as ``trajectory`` for
-    retrospective smoothing.
+    One instance is single-writer; steps mutate the window and never run a
+    batch solve. The batch solution of the window as of the last solved
+    step is available as ``trajectory`` for retrospective smoothing.
 
     Under the zero-weight policy an unusable step becomes a placeholder:
     a gridded slot with zero information and a zero value. Every solve
@@ -176,12 +176,11 @@ class SequentialTracker:
         self.last_point: Optional[TrackPoint] = None
         self._window: Deque[_Slot] = deque()
         self._usable = 0  # contributing slots in the window
-        # Full history only: the running sum of contributing informations
-        # and the incremental solve of the gridded slots.
-        self._info_sum: Optional[np.ndarray] = None
-        self._history: Optional[_IncrementalSolve] = None
+        # Full history only: the running sum of contributing informations.
+        self._info_sum: np.ndarray | float = 0.0
+        self._elimination: Optional[_IncrementalSolve] = None
         self._newest: Optional[_Newest] = None
-        self._solved_slots = 0  # gridded slots in the last solve
+        self._solved: Deque[_Slot] = deque()  # gridded slots of the last solve
         self._trajectory: Optional[ShadowingTrajectory] = None
 
     @property
@@ -196,13 +195,12 @@ class SequentialTracker:
     def trajectory(self) -> Optional[ShadowingTrajectory]:
         """Batch solve of the window's gridded slots as of the last solved step.
 
-        A full-history tracker builds it when it is first read after a
-        solved step; a sliding window keeps the solve of its last step.
-        None until a step has been solved.
+        Built when first read after a solved step and kept until the next,
+        even once the window has moved past those slots. None until a step
+        has been solved.
         """
         if self._trajectory is None and self._newest is not None:
-            gridded = [slot for slot in self._window if slot.information is not None]
-            self._trajectory = self._batch_solve(gridded[:self._solved_slots])
+            self._trajectory = self._batch_solve(self._solved)
         return self._trajectory
 
     def insert_forecast(self, time: float) -> RawPositionEstimate:
@@ -290,6 +288,8 @@ class SequentialTracker:
 
         if self.dim is None and estimate is not None:
             self.dim = estimate.dim
+            self._elimination = _IncrementalSolve(self.dim, self.config.eta,
+                                                  sliding=self.config.window is not None)
         self._append(slot)
         point = self._emit(slot)
         self.last_point = point
@@ -299,20 +299,15 @@ class SequentialTracker:
         self._window.append(slot)
         if slot.contributes:
             self._usable += 1
-        if self.config.window is not None:
-            while len(self._window) > self.config.window:
-                if self._window.popleft().contributes:
-                    self._usable -= 1
-            return
-        if slot.contributes:
-            self._info_sum = (
-                slot.information if self._info_sum is None
-                else self._info_sum + slot.information
-            )
+        if self.config.window is None and slot.contributes:
+            self._info_sum = self._info_sum + slot.information
+        while self.config.window is not None and len(self._window) > self.config.window:
+            if self._window.popleft().contributes:
+                self._usable -= 1
         if slot.information is not None:
-            if self._history is None:
-                self._history = _IncrementalSolve(self.dim, self.config.eta)
-            self._history.append(slot.time, slot.value, slot.information)
+            self._elimination.append(slot.time, slot.value, slot.information)
+        if self._elimination is not None:
+            self._elimination.retire(self._window[0].time)
 
     def _missing_slot(self, time: float, raw_weight: float) -> _Slot:
         """The slot for an unusable step: a forecast, a placeholder or coalesced out."""
@@ -333,7 +328,7 @@ class SequentialTracker:
         newest = self._newest
         return newest.position + newest.velocity * (time - newest.time)
 
-    def _batch_solve(self, gridded: list[_Slot]) -> ShadowingTrajectory:
+    def _batch_solve(self, gridded: Deque[_Slot]) -> ShadowingTrajectory:
         grid = build_time_grid(np.array([slot.time for slot in gridded]))
         values = np.stack([slot.value for slot in gridded])
         infos = np.stack([slot.information for slot in gridded])
@@ -345,30 +340,23 @@ class SequentialTracker:
         series = VectorObservationSeries(grid=grid, values=values, informations=infos)
         return solve_vector(series, self.config.eta)
 
-    def _solve(self, newest: _Slot) -> None:
-        """Bring ``_newest`` up to date with a window that holds enough fixes."""
-        if self.config.window is None:
-            if newest.information is None:
-                return  # coalesced out: the grid, hence its solve, is unchanged
-            position, velocity, acceleration = self._history.newest()
-            self._newest = _Newest(newest.time, position, velocity, acceleration)
-            self._solved_slots = self._history.count
+    def _solve(self) -> None:
+        """Bring ``_solved``, the window's gridded slots, and ``_newest`` up to date."""
+        solved, window = self._solved, self._window
+        last = solved[-1].time if solved else -math.inf
+        fresh = [slot for slot in takewhile(lambda slot: slot.time > last, reversed(window))
+                 if slot.information is not None]
+        solved.extend(reversed(fresh))
+        oldest = solved[0]
+        while solved[0].time < window[0].time:
+            solved.popleft()
+        if fresh or solved[0] is not oldest:  # else the grid, hence its solve, is unchanged
+            self._newest = _Newest(solved[-1].time, *self._elimination.newest())
             self._trajectory = None
-            return
-        gridded = [slot for slot in self._window if slot.information is not None]
-        trajectory = self._batch_solve(gridded)
-        m = len(gridded)
-        self._trajectory = trajectory
-        self._newest = _Newest(
-            gridded[-1].time,
-            np.reshape(trajectory.positions, (m, -1))[-1],
-            np.reshape(trajectory.velocities, (m, -1))[-1],
-            np.reshape(trajectory.accelerations, (m - 1, -1))[-1],
-        )
 
     def _emit(self, newest: _Slot) -> TrackPoint:
         if self._usable >= MIN_EFFECTIVE_SAMPLES:
-            self._solve(newest)
+            self._solve()
             state = self._newest
             position, velocity, acceleration = state.position, state.velocity, state.acceleration
             if state.time != newest.time:

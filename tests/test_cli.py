@@ -601,6 +601,31 @@ class TestNonFiniteCells:
         assert f"(row 2, column {column!r})" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, schema, target, cell, message", [
+        ("filter", "scalar", "in.csv", b"\xff", "in.csv is not UTF-8 text"),
+        ("transform", "polar", "geo.json", b"\xff", "geo.json is not UTF-8 text"),
+        ("filter", "scalar", "in.csv", b"1" * 131073,
+         "field larger than field limit (131072) (row 2)"),
+    ], ids=["csv-byte-0xff", "json-byte-0xff", "csv-oversized-cell"])
+    def test_unreadable_text_exits_3(self, tmp_path, capsys, command, schema, target,
+                                     cell, message):
+        """A byte that is not UTF-8, in a table cell or in the geometry JSON, and
+        a cell past the csv module's field limit exit 3 naming the file or row."""
+        path = write_reader_input(tmp_path, schema)
+        if target == "in.csv":
+            replace_cell(path, 2, "value", "@@")
+            marker, text = b"@@", cell
+        else:
+            marker, text = b"range-bearing", b"range-bearing" + cell
+        target = tmp_path / target
+        target.write_bytes(target.read_bytes().replace(marker, text))
+        argv = {"filter": [path, "--eta", "5"],
+                "transform": [path, str(tmp_path / "geo.json")]}[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_filter_names_the_row_of_an_indefinite_information(self, tmp_path, capsys):
         path = write_reader_input(tmp_path, "vector")
         replace_cell(path, 2, "ixx", "-1")

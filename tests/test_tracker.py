@@ -54,9 +54,11 @@ class TestConfig:
         assert config.forecast_info_scale == 0.25
 
     def test_window_floor(self):
-        with pytest.raises(UsageError):
-            TrackerConfig(window=2)
+        for bad in (2, 25.5, math.inf, math.nan):
+            with pytest.raises(UsageError, match="window"):
+                TrackerConfig(window=bad)
         TrackerConfig(window=3)
+        assert TrackerConfig(window=25.0).window == 25
 
     def test_gamma_range(self):
         for bad in (0.0, -0.5, 1.5):
@@ -486,12 +488,13 @@ class TestValidation:
 
 
 class ReSolvingTracker:
-    """The full-history tracker as it was before the incremental solve.
+    """The tracker as it was before the incremental solve.
 
-    Every step re-solves all gridded slots from scratch and reads the
-    newest state off the batch trajectory. The slot bookkeeping and the
-    gap policies are kept as they were, so the incremental tracker is
-    checked against an independent implementation of both.
+    Every step trims the window to the configured number of steps,
+    re-solves all its gridded slots from scratch and reads the newest
+    state off the batch trajectory. The slot bookkeeping and the gap
+    policies are kept as they were, so the incremental tracker is checked
+    against an independent implementation of both.
     """
 
     def __init__(self, config):
@@ -522,6 +525,8 @@ class ReSolvingTracker:
         else:
             slot = self._missing_slot(time, raw_weight)
         self._window.append(slot)
+        if self.config.window is not None:
+            del self._window[:-self.config.window]
         return self._emit(slot)
 
     def _missing_slot(self, time, raw_weight):
@@ -614,13 +619,17 @@ def assert_states_agree(got, want, tol):
 
 
 class TestIncrementalFullHistory:
-    @pytest.mark.parametrize("policy, dim, eta", [
-        (POLICY_COALESCE, 1, 1e-3), (POLICY_COALESCE, 2, 1e6),
-        (POLICY_ZERO_WEIGHT, 1, 1.0), (POLICY_ZERO_WEIGHT, 2, 1e-3),
-        (POLICY_FORECAST, 1, 1e6), (POLICY_FORECAST, 2, 1.0),
+    @pytest.mark.parametrize("policy, dim, eta, window", [
+        *(pytest.param(policy, dim, eta, None, id=f"{policy}-{dim}-{eta}")
+          for policy, dim, eta in (
+              (POLICY_COALESCE, 1, 1e-3), (POLICY_COALESCE, 2, 1e6),
+              (POLICY_ZERO_WEIGHT, 1, 1.0), (POLICY_ZERO_WEIGHT, 2, 1e-3),
+              (POLICY_FORECAST, 1, 1e6), (POLICY_FORECAST, 2, 1.0))),
+        *(pytest.param(policy, dim, eta, 25, id=f"{policy}-{dim}-{eta}-window-25")
+          for policy in POLICIES for dim in (1, 2) for eta in (1e-3, 1.0, 1e6)),
     ])
-    def test_matches_re_solving_tracker(self, policy, dim, eta):
-        config = TrackerConfig(eta=eta, policy=policy)
+    def test_matches_re_solving_tracker(self, policy, dim, eta, window):
+        config = TrackerConfig(eta=eta, window=window, policy=policy)
         tracker, reference = SequentialTracker(config), ReSolvingTracker(config)
         times, fixes = maneuvering_stream(dim, seed=dim, n=180)
         got, want = [], []
@@ -649,8 +658,11 @@ class TestIncrementalFullHistory:
                     np.reshape(batch.accelerations, (m - 1, -1))[-1], 0.0, "", 0))
         assert_states_agree(got, want, 1e-9)
 
-    @pytest.mark.parametrize("dim, seed", [(1, 2), (2, 0)])
-    def test_rough_stream_stays_close_to_batch(self, dim, seed):
+    @pytest.mark.parametrize("dim, seed, window", [
+        pytest.param(1, 2, None, id="1-2"), pytest.param(2, 0, None, id="2-0"),
+        pytest.param(2, 0, 25, id="2-0-window-25"),
+    ])
+    def test_rough_stream_stays_close_to_batch(self, dim, seed, window):
         """Noise-dominated values, eta 1e-3 and zero-information runs on a 4-decade grid.
 
         The fit interpolates noise across gaps of 1 to 1e4, the hardest
@@ -663,7 +675,8 @@ class TestIncrementalFullHistory:
         times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(0.0, 4.0, n - 1))])
         values = (3.0 * rng.standard_normal((n, dim))
                   + np.cumsum(rng.standard_normal((n, dim)), axis=0))
-        tracker = SequentialTracker(TrackerConfig(eta=1e-3, policy=POLICY_ZERO_WEIGHT))
+        tracker = SequentialTracker(TrackerConfig(eta=1e-3, window=window,
+                                                  policy=POLICY_ZERO_WEIGHT))
         got, want = [], []
         for i, t in enumerate(times):
             root = rng.standard_normal((dim, dim))
@@ -681,8 +694,13 @@ class TestIncrementalFullHistory:
                     np.reshape(batch.accelerations, (m - 1, -1))[-1], 0.0, "", 0))
         assert_states_agree(got, want, 1e-8)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_full_history_never_re_solves(self, monkeypatch, policy):
+    @pytest.mark.parametrize("policy, window", [
+        *(pytest.param(policy, None, id=policy) for policy in POLICIES),
+        *(pytest.param(policy, 25, id=f"{policy}-window-25") for policy in POLICIES),
+    ])
+    def test_full_history_never_re_solves(self, monkeypatch, policy, window):
+        """Steps never batch-solve, over the full history or a window; reading
+        ``trajectory`` solves once, over the gridded slots of the last step."""
         calls = []
 
         def counted(solve):
@@ -694,7 +712,7 @@ class TestIncrementalFullHistory:
         for name in ("solve_scalar", "solve_vector"):
             monkeypatch.setattr(tracker_module, name,
                                 counted(getattr(tracker_module, name)))
-        tracker = SequentialTracker(TrackerConfig(eta=10.0, policy=policy))
+        tracker = SequentialTracker(TrackerConfig(eta=10.0, window=window, policy=policy))
         times, fixes = maneuvering_stream(2, seed=3, n=500, decades=1.0)
         for t, fix in zip(times, fixes):
             tracker.step(float(t), fix)
@@ -703,8 +721,31 @@ class TestIncrementalFullHistory:
         assert calls == ["solve_vector"]
         assert tracker.trajectory is first
         assert calls == ["solve_vector"]
-        gridded = len(fixes) - (fixes.count(None) if policy == POLICY_COALESCE else 0)
+        held = fixes if window is None else fixes[-window:]
+        gridded = len(held) - (held.count(None) if policy == POLICY_COALESCE else 0)
         assert first.positions.shape == (gridded, 2)
+
+    @pytest.mark.parametrize("policy", [POLICY_COALESCE, POLICY_ZERO_WEIGHT])
+    def test_trajectory_outlives_a_thinned_window(self, policy):
+        """Read only after the window has thinned below three usable fixes,
+        ``trajectory`` is still the batch solve of the last solved step."""
+        tracker = SequentialTracker(TrackerConfig(eta=5.0, window=6, policy=policy))
+        values = np.sin(np.arange(8.0))
+        for t, v in enumerate(values):
+            tracker.step_scalar(float(t), float(v), 1.0)
+        for t in (8.0, 9.0, 10.0):  # at t = 10 the window holds three fixes
+            tracker.step(t, None)
+        for t in (11.0, 12.0, 13.0):
+            with pytest.raises(WindowTooSparse):
+                tracker.step(t, None)
+        held = 6 if policy == POLICY_ZERO_WEIGHT else 3  # placeholders at 8, 9 and 10
+        times = np.arange(5.0, 5.0 + held)
+        batch = solve_scalar(ScalarObservationSeries(
+            grid=build_time_grid(times), values=np.append(values[5:], np.zeros(held - 3)),
+            weights=np.arange(held) < 3), 5.0)
+        trajectory = tracker.trajectory
+        assert np.array_equal(trajectory.grid.times, times)
+        assert np.array_equal(trajectory.positions, batch.positions)
 
     @pytest.mark.parametrize("window", [None, 6])
     def test_unobserved_direction_raises_singular_system(self, window):
@@ -722,7 +763,9 @@ class TestRejectedFix:
     def test_rejected_fix_leaves_tracker_unchanged(self, window):
         config = TrackerConfig(eta=5.0, window=window)
         rejecting, reference = SequentialTracker(config), SequentialTracker(config)
-        for i in range(10):
+        # Past step 25 the window's state comes from chains pinned before the
+        # rejected fix, other than the first.
+        for i in range(30):
             fix = vector_estimate(float(i), 0.5 * i * i)
             if i == 4:
                 bad = RawPositionEstimate(position=[3.0, 3.0], information=np.diag([1.0, -1.0]),
