@@ -24,175 +24,23 @@ Public layers:
   formats used by the ``shadow-track`` command line tool.
 """
 
-from .errors import (
-    BracketDoesNotStraddle,
-    CoincidentSites,
-    DataError,
-    DegenerateWeights,
-    IndefiniteInformation,
-    IOFailure,
-    MaxIterations,
-    NonIncreasingTimes,
-    NonPositiveEta,
-    NonSymmetricInformation,
-    NoTrajectoryYet,
-    NumericalError,
-    OutOfOrderTimestamp,
-    RangeTooSmall,
-    SchemaError,
-    ShadowTrackError,
-    ShapeMismatch,
-    SingularSystem,
-    TimeOutOfRange,
-    TooFewPoints,
-    UnknownScenario,
-    UsageError,
-    WindowTooSparse,
-)
-from .matrices import (
-    FilterMatrices,
-    IdentityReport,
-    TimeGrid,
-    build_filter_matrices,
-    build_time_grid,
-    verify_identities,
-)
-from .solver import (
-    EtaSearchResult,
-    OracleSolution,
-    ScalarObservationSeries,
-    ShadowingTrajectory,
-    VectorObservationSeries,
-    evaluate_spline,
-    evaluate_spline_velocity,
-    oracle_residuals,
-    rms_acceleration,
-    search_eta,
-    solve_kkt_oracle,
-    solve_scalar,
-    solve_vector,
-)
-from .geometry import (
-    MODE_IGNORE_CORRELATION,
-    MODE_PROPAGATE,
-    PROVENANCE_DROPPED,
-    PROVENANCE_FORECAST,
-    PROVENANCE_OBSERVED,
-    PolarObservation,
-    RawPositionEstimate,
-    SensorSite,
-    propagate_information,
-    range_bearing_to_position,
-    rcond_1norm,
-    two_bearings_to_position,
-    two_ranges_to_position,
-    wrap_bearing,
-)
-from .tracker import (
-    POLICIES,
-    POLICY_COALESCE,
-    POLICY_FORECAST,
-    POLICY_ZERO_WEIGHT,
-    SequentialTracker,
-    TrackerConfig,
-    TrackPoint,
-)
-from .scenarios import (
-    SCENARIO_IDS,
-    PlanarScenario,
-    RangeBearingScenario,
-    ScalarScenario,
-    TwoSensorBearingScenario,
-    apply_missing,
-    gen_planar_path,
-    gen_range_bearing,
-    gen_scalar_rednoise,
-    gen_two_sensor_bearings,
-    planar_truth,
-)
+from . import errors, geometry, matrices, scenarios, solver, tracker
+from .errors import *  # noqa: F401,F403
+from .matrices import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .tracker import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Each module declares its public names once, in its own __all__.
 __all__ = [
     "__version__",
-    # errors
-    "ShadowTrackError",
-    "UsageError",
-    "DataError",
-    "NumericalError",
-    "IOFailure",
-    "NonIncreasingTimes",
-    "TooFewPoints",
-    "NonPositiveEta",
-    "DegenerateWeights",
-    "NonSymmetricInformation",
-    "IndefiniteInformation",
-    "ShapeMismatch",
-    "TimeOutOfRange",
-    "BracketDoesNotStraddle",
-    "MaxIterations",
-    "SingularSystem",
-    "RangeTooSmall",
-    "CoincidentSites",
-    "OutOfOrderTimestamp",
-    "WindowTooSparse",
-    "NoTrajectoryYet",
-    "UnknownScenario",
-    "SchemaError",
-    # matrices
-    "TimeGrid",
-    "build_time_grid",
-    "FilterMatrices",
-    "build_filter_matrices",
-    "IdentityReport",
-    "verify_identities",
-    # solver
-    "ScalarObservationSeries",
-    "VectorObservationSeries",
-    "ShadowingTrajectory",
-    "OracleSolution",
-    "EtaSearchResult",
-    "solve_scalar",
-    "solve_vector",
-    "rms_acceleration",
-    "search_eta",
-    "evaluate_spline",
-    "evaluate_spline_velocity",
-    "solve_kkt_oracle",
-    "oracle_residuals",
-    # geometry
-    "MODE_IGNORE_CORRELATION",
-    "MODE_PROPAGATE",
-    "PROVENANCE_OBSERVED",
-    "PROVENANCE_FORECAST",
-    "PROVENANCE_DROPPED",
-    "SensorSite",
-    "PolarObservation",
-    "RawPositionEstimate",
-    "wrap_bearing",
-    "rcond_1norm",
-    "propagate_information",
-    "range_bearing_to_position",
-    "two_bearings_to_position",
-    "two_ranges_to_position",
-    # tracker
-    "POLICIES",
-    "POLICY_COALESCE",
-    "POLICY_ZERO_WEIGHT",
-    "POLICY_FORECAST",
-    "TrackerConfig",
-    "TrackPoint",
-    "SequentialTracker",
-    # scenarios
-    "SCENARIO_IDS",
-    "ScalarScenario",
-    "PlanarScenario",
-    "TwoSensorBearingScenario",
-    "RangeBearingScenario",
-    "planar_truth",
-    "gen_scalar_rednoise",
-    "gen_planar_path",
-    "gen_two_sensor_bearings",
-    "gen_range_bearing",
-    "apply_missing",
+    *errors.__all__,
+    *matrices.__all__,
+    *solver.__all__,
+    *geometry.__all__,
+    *tracker.__all__,
+    *scenarios.__all__,
 ]

@@ -57,7 +57,7 @@ from .scenarios import (
     gen_scalar_rednoise,
     gen_two_sensor_bearings,
 )
-from .solver import rms_acceleration, search_eta, solve_scalar, solve_vector
+from .solver import _require_bracket, rms_acceleration, search_eta, solve_scalar, solve_vector
 from .tracker import POLICIES, SequentialTracker, TrackerConfig, TrackPoint
 
 
@@ -204,7 +204,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if scenario_id == "rednoise":
         sc = gen_scalar_rednoise(seed)
         obs = sc.observations
-        if fraction > 0.0:
+        if fraction != 0.0:  # apply_missing rejects fractions outside [0, 1)
             obs, keep = apply_missing(obs, fraction, seed)
         outputs = {"observations": (
             f"{prefix}-observations.csv", fileio.write_scalar_observations,
@@ -238,7 +238,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     outputs["truth"] = (f"{prefix}-truth.csv", fileio.write_truth, sc.times, sc.truth)
     sections["scenario"] = dict(sc.parameters())
-    if fraction > 0.0:
+    if fraction != 0.0:
         sections["scenario"]["retained_indices"] = [int(k) for k in keep]
     arguments = {"scenario": scenario_id, "seed": seed, "missing_fraction": fraction}
     return _publish(args, arguments, f"{prefix}-manifest.json", outputs, **sections)
@@ -248,6 +248,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    bracket = list(_require_bracket(*args.bracket))  # checked even where --eta leaves it unused
     table = fileio.read_table(args.observations)
     if table.schema == fileio.SCHEMA_SCALAR_OBS:
         series, solve = fileio._scalar_series(table), solve_scalar
@@ -259,7 +260,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
             "filter accepts scalar or vector observation tables"
         )
 
-    bracket = [float(args.bracket[0]), float(args.bracket[1])]
     arguments = {"observations": os.path.basename(args.observations), "bracket": bracket}
     sections: dict = {}
     if args.eta is not None:
@@ -356,7 +356,7 @@ def _geometry_entry(geometry: dict, key: str):
 def _coordinates(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"geometry entry {what} must be numeric, got {value!r}") from exc
 
 

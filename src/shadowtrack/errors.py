@@ -8,6 +8,32 @@ numerical failures exit 4.
 
 from __future__ import annotations
 
+__all__ = [
+    "ShadowTrackError",
+    "UsageError",
+    "DataError",
+    "NumericalError",
+    "IOFailure",
+    "NonIncreasingTimes",
+    "TooFewPoints",
+    "NonPositiveEta",
+    "DegenerateWeights",
+    "NonSymmetricInformation",
+    "IndefiniteInformation",
+    "ShapeMismatch",
+    "TimeOutOfRange",
+    "BracketDoesNotStraddle",
+    "MaxIterations",
+    "SingularSystem",
+    "RangeTooSmall",
+    "CoincidentSites",
+    "OutOfOrderTimestamp",
+    "WindowTooSparse",
+    "NoTrajectoryYet",
+    "UnknownScenario",
+    "SchemaError",
+]
+
 
 class ShadowTrackError(Exception):
     """Base class for all library errors."""

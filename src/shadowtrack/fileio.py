@@ -200,7 +200,11 @@ def read_table(path: str, *, expect_schema: Optional[str] = None) -> Table:
 
 
 def write_json(path: str, payload: Mapping[str, object]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write ``payload`` as strict JSON; NaN or an infinity raises SchemaError."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -209,8 +213,12 @@ def write_json(path: str, payload: Mapping[str, object]) -> None:
 
 
 def read_json(path: str) -> dict:
+    """The JSON object in ``path``; NaN or Infinity, not valid JSON, raises SchemaError."""
+    def reject(constant: str):
+        raise SchemaError(f"{path} holds {constant}, which is not valid JSON")
+
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(_read_text(path), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

@@ -25,6 +25,23 @@ from .errors import (
 )
 from .matrices import _frozen
 
+__all__ = [
+    "MODE_IGNORE_CORRELATION",
+    "MODE_PROPAGATE",
+    "PROVENANCE_OBSERVED",
+    "PROVENANCE_FORECAST",
+    "PROVENANCE_DROPPED",
+    "SensorSite",
+    "PolarObservation",
+    "RawPositionEstimate",
+    "wrap_bearing",
+    "rcond_1norm",
+    "propagate_information",
+    "range_bearing_to_position",
+    "two_bearings_to_position",
+    "two_ranges_to_position",
+]
+
 MIN_RANGE = 1e-9
 DROP_WEIGHT = 1e-6
 

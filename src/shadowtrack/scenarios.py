@@ -31,10 +31,31 @@ from .geometry import PolarObservation, SensorSite, wrap_bearing
 from .matrices import _frozen, build_time_grid
 from .solver import ScalarObservationSeries, VectorObservationSeries
 
+__all__ = [
+    "SCENARIO_IDS",
+    "ScalarScenario",
+    "PlanarScenario",
+    "TwoSensorBearingScenario",
+    "RangeBearingScenario",
+    "planar_truth",
+    "gen_scalar_rednoise",
+    "gen_planar_path",
+    "gen_two_sensor_bearings",
+    "gen_range_bearing",
+    "apply_missing",
+]
+
 SCENARIO_IDS = ("rednoise", "planar", "sonar", "range-bearing")
 
 # Straight runs of the two sonar sensors, (start, end) for sites a and b.
 _SONAR_RUNS = (((-3.0, 3.0), (3.0, 1.0)), ((-3.0, -2.0), (3.0, -1.0)))
+
+
+def _check_seed(seed: int) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _check_count(count: int) -> int:
@@ -51,6 +72,13 @@ def _check_sd(value: float, what: str, minimum: float = 0.0) -> float:
     return value
 
 
+def _parameters(scenario, **extra) -> Mapping[str, object]:
+    """Manifest parameters: the scenario's str, int and float fields, its count, ``extra``."""
+    scalars = {f.name: getattr(scenario, f.name) for f in fields(scenario)
+               if isinstance(getattr(scenario, f.name), (str, int, float))}
+    return {**scalars, "count": int(scenario.times.size), **extra}
+
+
 @dataclass(frozen=True)
 class ScalarScenario:
     """Scalar truth, drift component, and noisy observation series."""
@@ -64,13 +92,7 @@ class ScalarScenario:
     drift_sd: float
 
     def parameters(self) -> Mapping[str, object]:
-        return {
-            "identifier": self.identifier,
-            "seed": self.seed,
-            "count": int(self.times.size),
-            "noise_sd": self.noise_sd,
-            "drift_sd": self.drift_sd,
-        }
+        return _parameters(self)
 
 
 @dataclass(frozen=True)
@@ -85,12 +107,7 @@ class PlanarScenario:
     noise_sd: float
 
     def parameters(self) -> Mapping[str, object]:
-        return {
-            "identifier": self.identifier,
-            "seed": self.seed,
-            "count": int(self.times.size),
-            "noise_sd": self.noise_sd,
-        }
+        return _parameters(self)
 
 
 @dataclass(frozen=True)
@@ -107,17 +124,10 @@ class TwoSensorBearingScenario:
     bearing_noise_sd: float
 
     def parameters(self) -> Mapping[str, object]:
-        (a_start, a_end), (b_start, b_end) = _SONAR_RUNS
-        return {
-            "identifier": self.identifier,
-            "seed": self.seed,
-            "count": int(self.times.size),
-            "bearing_noise_sd": self.bearing_noise_sd,
-            "site_a_start": list(a_start),
-            "site_a_end": list(a_end),
-            "site_b_start": list(b_start),
-            "site_b_end": list(b_end),
-        }
+        return _parameters(self, **{
+            f"site_{name}_{end}": list(point)
+            for name, run in zip("ab", _SONAR_RUNS) for end, point in zip(("start", "end"), run)
+        })
 
     def geometry(self) -> Mapping[str, object]:
         """Manifest geometry block: each site's straight run over the time span."""
@@ -143,14 +153,7 @@ class RangeBearingScenario:
     bearing_noise_sd: float
 
     def parameters(self) -> Mapping[str, object]:
-        return {
-            "identifier": self.identifier,
-            "seed": self.seed,
-            "count": int(self.times.size),
-            "site": [float(self.site.position[0]), float(self.site.position[1])],
-            "range_noise_sd": self.range_noise_sd,
-            "bearing_noise_sd": self.bearing_noise_sd,
-        }
+        return _parameters(self, site=[float(x) for x in self.site.position])
 
     def geometry(self) -> Mapping[str, object]:
         """Manifest geometry block: the static site."""
@@ -179,6 +182,7 @@ def gen_scalar_rednoise(
     count = _check_count(count)
     noise_sd = _check_sd(noise_sd, "observation noise sd")
     drift_sd = _check_sd(drift_sd, "drift sd")
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     times = np.arange(count, dtype=float)
     steps = drift_sd * rng.standard_normal(count - 1)
@@ -193,7 +197,7 @@ def gen_scalar_rednoise(
     )
     return ScalarScenario(
         identifier="rednoise",
-        seed=int(seed),
+        seed=seed,
         times=_frozen(times),
         truth=_frozen(truth),
         observations=observations,
@@ -230,6 +234,7 @@ def gen_planar_path(
     """
     count = _check_count(count)
     noise_sd = _check_sd(noise_sd, "observation noise sd")
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     times = np.arange(count, dtype=float)
     truth = planar_truth(times)
@@ -243,7 +248,7 @@ def gen_planar_path(
     )
     return PlanarScenario(
         identifier="planar",
-        seed=int(seed),
+        seed=seed,
         times=_frozen(times),
         truth=_frozen(truth),
         observations=observations,
@@ -276,6 +281,7 @@ def gen_two_sensor_bearings(
     """
     count = _check_count(count)
     bearing_noise_sd = _check_sd(bearing_noise_sd, "bearing noise sd")
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     times = np.arange(count, dtype=float)
     span = float(times[-1])
@@ -293,7 +299,7 @@ def gen_two_sensor_bearings(
             bearings[i, j] = wrap_bearing(clean + noise[i, j])
     return TwoSensorBearingScenario(
         identifier="sonar",
-        seed=int(seed),
+        seed=seed,
         times=_frozen(times),
         truth=_frozen(truth),
         site_a=site_a,
@@ -326,6 +332,7 @@ def gen_range_bearing(
     count = _check_count(count)
     bearing_noise_sd = _check_sd(bearing_noise_sd, "bearing noise sd", 1e-12)
     ratio = _check_sd(range_accuracy_ratio, "range accuracy ratio", 1e-12)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(seed)
     times = np.arange(count, dtype=float)
     truth = planar_truth(times)
@@ -349,7 +356,7 @@ def gen_range_bearing(
     )
     return RangeBearingScenario(
         identifier="range-bearing",
-        seed=int(seed),
+        seed=seed,
         times=_frozen(times),
         truth=_frozen(truth),
         site=anchor,
@@ -386,7 +393,7 @@ def apply_missing(
         raise UsageError(
             f"removing {remove} of {size} samples leaves fewer than 3"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     interior = np.arange(1, size - 1)
     removed = rng.choice(interior, size=remove, replace=False)
     keep = np.setdiff1d(np.arange(size), removed)

@@ -109,6 +109,14 @@ def _require_positive_eta(eta: float) -> float:
     return eta
 
 
+def _require_bracket(eta_lo: float, eta_hi: float) -> tuple[float, float]:
+    """An eta search bracket as floats; it must satisfy 0 < eta_lo < eta_hi < inf."""
+    eta_lo, eta_hi = _require_positive_eta(eta_lo), _require_positive_eta(eta_hi)
+    if eta_lo >= eta_hi:
+        raise UsageError(f"bracket must satisfy eta_lo < eta_hi, got [{eta_lo}, {eta_hi}]")
+    return eta_lo, eta_hi
+
+
 @dataclass(frozen=True)
 class ScalarObservationSeries:
     """One-dimensional observations with per-sample weights.
@@ -173,7 +181,7 @@ class VectorObservationSeries:
             raise DataError("observation values must be finite")
         if not np.all(np.isfinite(infos)):
             raise DataError("information matrices must be finite")
-        sym = _symmetrized(infos)
+        sym, _ = _symmetrized(infos)
         usable = int(np.count_nonzero(np.trace(sym, axis1=1, axis2=2) > 0.0))
         if usable < MIN_EFFECTIVE_SAMPLES:
             raise DegenerateWeights(
@@ -188,13 +196,16 @@ class VectorObservationSeries:
         return self.values.shape[1]
 
 
-def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> np.ndarray:
-    """Symmetric parts of finite (m, d, d) information matrices.
+def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric parts W of finite (m, d, d) information matrices, and their roots.
 
-    Raises NonSymmetricInformation or IndefiniteInformation for the first
-    matrix that is not symmetric, or not positive semidefinite, to within
-    1e-12 of one plus its largest entry; ``where`` names it in the message,
-    formatted with its index.
+    One eigendecomposition W = V diag(lambda) V^T per matrix checks that W
+    is positive semidefinite and gives the root sqrt(max(lambda, 0)) V^T,
+    whose Gram matrix is W even when W is singular, unlike a Cholesky
+    factor. Raises NonSymmetricInformation or IndefiniteInformation for the
+    first matrix that is not symmetric, or not positive semidefinite, to
+    within 1e-12 of one plus its largest entry; ``where`` names it in the
+    message, formatted with its index.
     """
     scale = np.abs(infos).max(axis=(1, 2))
     skew = np.abs(infos - np.transpose(infos, (0, 2, 1))).max(axis=(1, 2))
@@ -205,14 +216,15 @@ def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> np.ndarray:
             f"(max asymmetry {skew[bad[0]]:.3e})"
         )
     sym = 0.5 * (infos + np.transpose(infos, (0, 2, 1)))
-    low = np.linalg.eigvalsh(sym).min(axis=1)
+    eigenvalues, vectors = np.linalg.eigh(sym)
+    low = eigenvalues.min(axis=1)
     bad = np.nonzero(low < -1e-12 * (1.0 + scale))[0]
     if bad.size:
         raise IndefiniteInformation(
             f"information matrix {where.format(int(bad[0]))} has eigenvalue "
             f"{low[bad[0]]:.3e}"
         )
-    return sym
+    return sym, np.sqrt(np.maximum(eigenvalues, 0.0))[:, :, None] * np.swapaxes(vectors, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -221,7 +233,8 @@ class ShadowingTrajectory:
 
     Velocities satisfy the interval dynamics exactly by construction:
     p_{i+1} = p_i + v_i tau_i + a_i tau_i^2 / 2. Scalar fits store
-    one-dimensional arrays, planar fits store (n+1, d) and (n, d).
+    one-dimensional arrays, planar fits store (n+1, d) and (n, d). The
+    rank of the master system is derived from the shape, as ``rank``.
     """
 
     grid: TimeGrid
@@ -233,9 +246,6 @@ class ShadowingTrajectory:
     # 2-norm of the master-system residual (a_bar W + eta b_bar) p - a_bar W obs
     # of the returned positions, in the solved orientation, summed in O(n).
     residual_norm: float
-    # Rank of the master system, d n for n + 1 samples: the solve raises
-    # SingularSystem rather than return a rank-deficient fit.
-    rank: int
     # d log xi / d log eta at ``eta``, where xi is ``rms_acceleration`` of
     # this fit; NaN when xi is zero.
     log_xi_slope: float = np.nan
@@ -243,6 +253,12 @@ class ShadowingTrajectory:
     @property
     def dim(self) -> int:
         return 1 if self.positions.ndim == 1 else self.positions.shape[1]
+
+    @property
+    def rank(self) -> int:
+        """Rank of the master system, d n for n + 1 samples: the solve raises
+        SingularSystem rather than return a rank-deficient fit."""
+        return self.dim * self.grid.n
 
 
 @dataclass(frozen=True)
@@ -459,7 +475,7 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     the positions to the observations. Velocities are recovered in the
     original frame.
     """
-    m, d = values.shape
+    d = values.shape[1]
     taus = grid.taus
     if time_reversed:
         # Mirrored time has the same gaps in reverse order.
@@ -493,7 +509,7 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     return ShadowingTrajectory(
         grid=grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
         accelerations=_frozen(a), time_reversed=time_reversed,
-        residual_norm=resid, rank=d * (m - 1), log_xi_slope=slope,
+        residual_norm=resid, log_xi_slope=slope,
     )
 
 
@@ -538,10 +554,12 @@ class _IncrementalSolve:
         self._pivots = np.zeros((0, 2))
         self._newest_rows = np.zeros((b, 3 * b + k))
 
-    def append(self, time: float, value: np.ndarray, info: np.ndarray) -> None:
-        """Add the newest sample; ``info`` must be symmetric and semidefinite."""
-        low, vectors = np.linalg.eigh(info)  # W^{1/2} even of a singular W, unlike Cholesky
-        self._recent.append((time, value, info, np.sqrt(np.maximum(low, 0.0))[:, None] * vectors.T))
+    def append(self, time: float, value: np.ndarray, info: np.ndarray, root: np.ndarray) -> None:
+        """Add the newest sample: its information W and a root R with R^T R = W.
+
+        ``_symmetrized`` gives both, checked; a zero W has a zero root.
+        """
+        self._recent.append((time, value, info, root))
         if len(self._recent) < 3:
             return
         d, b = self.dim, 5 * self.dim
@@ -702,10 +720,7 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
     xi_target = float(xi_target)
     if not (np.isfinite(xi_target) and xi_target >= 0.0):
         raise UsageError(f"xi target must be a finite non-negative number, got {xi_target!r}")
-    eta_lo = _require_positive_eta(eta_lo)
-    eta_hi = _require_positive_eta(eta_hi)
-    if eta_lo >= eta_hi:
-        raise UsageError(f"bracket must satisfy eta_lo < eta_hi, got [{eta_lo}, {eta_hi}]")
+    eta_lo, eta_hi = _require_bracket(eta_lo, eta_hi)
     tol = SEARCH_REL_TOL * xi_target
     trace: list[tuple[float, float]] = []
 

@@ -49,6 +49,16 @@ from .solver import (
     solve_vector,
 )
 
+__all__ = [
+    "POLICIES",
+    "POLICY_COALESCE",
+    "POLICY_ZERO_WEIGHT",
+    "POLICY_FORECAST",
+    "TrackerConfig",
+    "TrackPoint",
+    "SequentialTracker",
+]
+
 POLICY_COALESCE = "coalesce-gaps"
 POLICY_ZERO_WEIGHT = "zero-weight-placeholder"
 POLICY_FORECAST = "forecast-insert"
@@ -121,6 +131,7 @@ class _Slot:
     time: float
     value: Optional[np.ndarray]        # None when coalesced out, zero for placeholders
     information: Optional[np.ndarray]  # None when coalesced out, zero for placeholders
+    root: Optional[np.ndarray]         # R with R^T R = information, as ``_symmetrized`` gives
     raw_weight: float
     emitted: str
     contributes: bool = field(init=False)  # carries information into the solve
@@ -129,6 +140,14 @@ class _Slot:
         self.contributes = (
             self.information is not None and float(np.trace(self.information)) > 0.0
         )
+
+
+def _fix_slot(time: float, estimate: RawPositionEstimate, raw_weight: float) -> _Slot:
+    """The slot of a usable fix or a forecast, whose information is checked and decomposed once."""
+    information = np.asarray(estimate.information, dtype=float)
+    _, root = _symmetrized(information[None], where=f"of the fix at time {time!r}")
+    return _Slot(time, np.asarray(estimate.position, dtype=float), information, root[0],
+                 raw_weight, estimate.provenance)
 
 
 def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
@@ -274,15 +293,7 @@ class SequentialTracker:
         )
         raw_weight = float(estimate.weight) if estimate is not None else 0.0
         if usable:
-            information = np.asarray(estimate.information, dtype=float)
-            _symmetrized(information[None], where=f"of the fix at time {time!r}")
-            slot = _Slot(
-                time=time,
-                value=np.asarray(estimate.position, dtype=float),
-                information=information,
-                raw_weight=raw_weight,
-                emitted=estimate.provenance,
-            )
+            slot = _fix_slot(time, estimate, raw_weight)
         else:
             slot = self._missing_slot(time, raw_weight)
 
@@ -305,7 +316,7 @@ class SequentialTracker:
             if self._window.popleft().contributes:
                 self._usable -= 1
         if slot.information is not None:
-            self._elimination.append(slot.time, slot.value, slot.information)
+            self._elimination.append(slot.time, slot.value, slot.information, slot.root)
         if self._elimination is not None:
             self._elimination.retire(self._window[0].time)
 
@@ -313,15 +324,13 @@ class SequentialTracker:
         """The slot for an unusable step: a forecast, a placeholder or coalesced out."""
         policy = self.config.policy
         if policy == POLICY_FORECAST and self._newest is not None and self._usable:
-            forecast = self.insert_forecast(time)
-            return _Slot(time, forecast.position, forecast.information, raw_weight,
-                         PROVENANCE_FORECAST)
+            return _fix_slot(time, self.insert_forecast(time), raw_weight)
         if policy == POLICY_ZERO_WEIGHT and self.dim is not None and (
             self._newest is not None or self._usable
         ):
-            return _Slot(time, np.zeros(self.dim), np.zeros((self.dim, self.dim)),
-                         raw_weight, PROVENANCE_DROPPED)
-        return _Slot(time, None, None, raw_weight, PROVENANCE_DROPPED)
+            zero = np.zeros((self.dim, self.dim))
+            return _Slot(time, np.zeros(self.dim), zero, zero, raw_weight, PROVENANCE_DROPPED)
+        return _Slot(time, None, None, None, raw_weight, PROVENANCE_DROPPED)
 
     def _extrapolate(self, time: float) -> np.ndarray:
         """The fitted spline past its end: constant velocity from the newest state."""

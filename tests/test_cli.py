@@ -113,12 +113,23 @@ class TestGenerate:
         assert run_cli("generate", "mystery", "--out", str(tmp_path)) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_fraction_rejected_for_planar(self, tmp_path):
-        code = run_cli(
-            "generate", "planar", "--out", str(tmp_path),
-            "--missing-fraction", "0.5",
-        )
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ["planar", "--missing-fraction", "0.5"],
+        ["rednoise", "--missing-fraction", "-0.5"],
+        ["rednoise", "--missing-fraction", "nan"],
+        ["rednoise", "--seed", "-1"],
+    ], ids=["fraction-for-planar", "negative-fraction", "nan-fraction", "negative-seed"])
+    def test_invalid_arguments_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli("generate", *argv, "--out", str(out)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("generate", "planar", "--out", str(taken)) == 3
+        assert "cannot create output directory" in capsys.readouterr().err
 
 
 class TestFilter:
@@ -189,9 +200,19 @@ class TestFilter:
             run_cli("filter", obs, "--eta", "1", "--xi", "0.1")
         assert info.value.code == 2
 
-    def test_nonpositive_eta_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["--eta", "-5"],
+        ["--eta", "5", "--bracket", "nan", "nan"],
+        ["--eta", "5", "--bracket", "-1", "inf"],
+        ["--eta", "5", "--bracket", "10", "1"],
+        ["--xi", "0.1", "--bracket", "-1", "inf"],
+    ], ids=["nonpositive-eta", "nan-bracket", "open-bracket", "reversed-bracket",
+            "xi-open-bracket"])
+    def test_invalid_arguments_exit_2(self, tmp_path, argv):
         obs = self.make_obs(tmp_path)
-        assert run_cli("filter", obs, "--eta", "-5") == 2
+        out = tmp_path / "fit"
+        assert run_cli("filter", obs, *argv, "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_unreachable_xi_bracket_exits_2(self, tmp_path):
         obs = self.make_obs(tmp_path)
@@ -466,6 +487,7 @@ class TestTransform:
         ({"kind": "triangulation"}, "triangulation"),
         ({"kind": "range-bearing"}, "'site'"),
         ({"kind": "range-bearing", "site": ["east", 0.0]}, "site"),
+        ({"kind": "range-bearing", "site": [10**400, 0.0]}, "site must be numeric"),
         ({"kind": "two-bearings", "site_b": {"position": [5.0, 0.0]}}, "'site_a'"),
         ({"kind": "two-ranges", "site_a": {"position": [0.0, 0.0]}}, "'site_b'"),
         ({"kind": "two-ranges", "site_a": {"start": [0.0, "north"]},
@@ -479,7 +501,7 @@ class TestTransform:
           "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
         ({"kind": "two-ranges", "site_a": {"position": [0.0, 0.0]},
           "site_b": {"at": [5.0, 0.0]}}, "site_b needs 'start'/'end' or 'position'"),
-    ], ids=["unknown-kind", "missing-site", "text-site", "missing-site-a",
+    ], ids=["unknown-kind", "missing-site", "text-site", "huge-site", "missing-site-a",
             "missing-site-b", "text-start", "object-position", "not-an-object",
             "list-site", "zero-span", "neither-key"])
     def test_unknown_geometry_kind_exits_3(self, tmp_path, capsys, geometry, named):
@@ -492,15 +514,28 @@ class TestTransform:
         assert run_cli("transform", pairs, geo, "--out", str(tmp_path)) == 3
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("disambiguator", [[1.0, 2.0, 3.0], [math.nan, 0.0]])
+    # Strict JSON has no NaN, but 1e400 still reads as an infinity.
+    @pytest.mark.parametrize("disambiguator", ["[1.0, 2.0, 3.0]", "[1e400, 0.0]"],
+                             ids=["three-coordinates", "infinite"])
     def test_bad_disambiguator_is_named_without_a_row(self, tmp_path, capsys, disambiguator):
         path = write_reader_input(tmp_path, "range-pairs")
-        geo = str(tmp_path / "geo.json")
-        fileio.write_json(geo, {"geometry": {"kind": "two-ranges", **READER_SITES,
-                                             "disambiguator": disambiguator}})
-        assert run_cli("transform", path, geo, "--out", str(tmp_path / "out")) == 3
+        geo = tmp_path / "geo.json"
+        fileio.write_json(str(geo), {"geometry": {"kind": "two-ranges", **READER_SITES,
+                                                  "disambiguator": "@@"}})
+        geo.write_text(geo.read_text().replace('"@@"', disambiguator))
+        assert run_cli("transform", path, str(geo), "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "disambiguator must" in err and "row" not in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_strict_json_geometry_exits_3(self, tmp_path, capsys, constant):
+        path = write_reader_input(tmp_path, "polar")
+        geo = tmp_path / "geo.json"
+        geo.write_text(geo.read_text().replace('"kind"', f'"note": {constant}, "kind"'))
+        out = tmp_path / "out"
+        assert run_cli("transform", path, str(geo), "--out", str(out)) == 3
+        assert f"geo.json holds {constant}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unconvertible_reading_names_its_row(self, tmp_path, capsys):
         path = write_reader_input(tmp_path, "polar")

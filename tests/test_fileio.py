@@ -55,7 +55,7 @@ class TestTableLayer:
     def test_round_trip_with_manifest_comment(self, tmp_path):
         path = str(tmp_path / "t.csv")
         fileio.write_table(
-            path, "demo.v1", ("t", "v"), [(0.0, 1.5), (1.0, float("nan"))],
+            path, "demo.v1", ("t", "v"), [(0.0, 1.5), (1.0, float("nan")), (2.0, None)],
             manifest_digest="ab" * 32,
         )
         table = fileio.read_table(path, expect_schema="demo.v1")
@@ -63,7 +63,7 @@ class TestTableLayer:
         assert table.meta["manifest"] == "ab" * 32
         assert table.names == ("t", "v")
         assert table.rows[0] == ("0.0", "1.5")
-        assert table.rows[1][1] == ""
+        assert table.rows[1][1] == table.rows[2][1] == ""
 
     def test_schema_mismatch(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -125,6 +125,8 @@ class TestTableLayer:
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
             fileio.read_table(str(tmp_path / "absent.csv"))
+        with pytest.raises(IOFailure, match="cannot write"):
+            fileio.write_table(str(tmp_path / "absent" / "t.csv"), "demo.v1", ("t",), [(0.0,)])
 
 
 def bytes_of(path):
@@ -383,6 +385,17 @@ class TestManifests:
             fileio.read_json(str(array))
         with pytest.raises(IOFailure):
             fileio.read_json(str(tmp_path / "absent.json"))
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            bad.write_text(f'{{"note": {constant}}}')
+            with pytest.raises(SchemaError, match=f"bad.json holds {constant}"):
+                fileio.read_json(str(bad))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_is_strict(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        with pytest.raises(SchemaError, match="m.json"):
+            fileio.write_json(str(path), {"a": [1.0, value]})
+        assert not path.exists()
 
     def test_write_json_deterministic(self, tmp_path):
         payload = {"b": 2, "a": [1.5, None], "c": {"nested": "x"}}
@@ -390,6 +403,8 @@ class TestManifests:
         fileio.write_json(p1, payload)
         fileio.write_json(p2, dict(reversed(list(payload.items()))))
         assert bytes_of(p1) == bytes_of(p2)
+        with pytest.raises(IOFailure, match="cannot write"):
+            fileio.write_json(str(tmp_path / "absent" / "m.json"), payload)
 
 
 class TestRednoiseFileCycle:

@@ -1,5 +1,7 @@
 """Structured-operator construction and identity checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,8 @@ class TestIdentities:
         report = verify_identities(fm)
         assert report.difference_inverse == 0.0
         assert report.extended_coupling == 0.0
+        assert report.ok
+        assert not replace(report, extended_coupling=1.0).ok
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_inverse_identities_random_grids(self, n):

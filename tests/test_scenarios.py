@@ -279,6 +279,13 @@ class TestParameterChecks:
         with pytest.raises(UsageError, match="at least 3 samples"):
             generate(0, count=count)
 
+    @pytest.mark.parametrize("generate", [*GENERATORS, pytest.param(
+        lambda seed: apply_missing(gen_scalar_rednoise(0).observations, 0.5, seed),
+        id="apply_missing")])
+    def test_negative_seed_rejected(self, generate):
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            generate(-1)
+
     @pytest.mark.parametrize("generate, keyword", [
         (gen_scalar_rednoise, "noise_sd"),
         (gen_scalar_rednoise, "drift_sd"),
@@ -296,3 +303,23 @@ class TestParameterChecks:
     def test_range_bearing_spreads_must_be_positive(self, keyword):
         with pytest.raises(DataError, match="1e-12"):
             gen_range_bearing(0, **{keyword: 0.0})
+
+
+@pytest.mark.parametrize("generate, expected", [
+    (gen_scalar_rednoise, {"identifier": "rednoise", "count": 101, "noise_sd": 3.0,
+                           "drift_sd": 1.0}),
+    (gen_planar_path, {"identifier": "planar", "count": 151, "noise_sd": 5.0}),
+    (gen_two_sensor_bearings, {"identifier": "sonar", "count": 101, "bearing_noise_sd": 0.01,
+                               "site_a_start": [-3.0, 3.0], "site_a_end": [3.0, 1.0],
+                               "site_b_start": [-3.0, -2.0], "site_b_end": [3.0, -1.0]}),
+    (gen_range_bearing, {"identifier": "range-bearing", "count": 151, "site": [100.0, 150.0],
+                         "bearing_noise_sd": 0.05}),
+], ids=["rednoise", "planar", "sonar", "range-bearing"])
+def test_parameters_name_every_setting(generate, expected):
+    """The manifest's scenario block: each scalar field, the count and the site runs."""
+    scenario = generate(3)
+    params = scenario.parameters()
+    if generate is gen_range_bearing:
+        expected = dict(expected, range_noise_sd=scenario.range_noise_sd)
+    assert params == {"seed": 3, **expected}
+    assert json.loads(json.dumps(params)) == params

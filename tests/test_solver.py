@@ -563,13 +563,10 @@ class TestVectorAndMulti:
         weights = rng.uniform(0.5, 4.0, 26)
         weights[[0, 7, 8, 20]] = 0.0
         scalar = solve_scalar(scalar_series(times, values, weights), 2.0, time_reversed)
-        vector = solve_vector(
-            VectorObservationSeries(
-                grid=scalar.grid, values=values[:, None],
-                informations=weights[:, None, None],
-            ),
-            2.0, time_reversed,
-        )
+        series = VectorObservationSeries(
+            grid=scalar.grid, values=values[:, None], informations=weights[:, None, None])
+        assert series.dim == 1
+        vector = solve_vector(series, 2.0, time_reversed)
         for name in ("positions", "velocities", "accelerations"):
             assert np.array_equal(np.squeeze(getattr(vector, name), 1), getattr(scalar, name))
         assert (vector.rank, vector.residual_norm) == (scalar.rank, scalar.residual_norm)
@@ -716,9 +713,9 @@ class TestRmsAcceleration:
             accelerations=np.full(2, 2.0),
             time_reversed=True,
             residual_norm=0.0,
-            rank=2,
         )
         assert rms_acceleration(traj) == pytest.approx(2.0, rel=1e-12)
+        assert traj.rank == traj.dim * grid.n == 2
 
     def test_decreases_with_eta_on_noisy_data(self):
         obs = gen_scalar_rednoise(0).observations
@@ -841,6 +838,20 @@ class TestValidation:
                 values=np.zeros((4, 2)),
                 informations=info,
             )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_information_roots_have_the_information_as_gram(self, dim):
+        """The one eigendecomposition's root R satisfies R^T R = W, singular W included."""
+        rng = np.random.default_rng(dim)
+        factors = rng.standard_normal((8, dim, dim))
+        factors[:4, :, -1] = 0.0  # rank-deficient informations
+        infos = factors @ factors.transpose(0, 2, 1)
+        infos[4] = 0.0
+        sym, roots = solver._symmetrized(infos)
+        assert np.array_equal(sym, infos)
+        assert np.array_equal(roots[4], np.zeros((dim, dim)))
+        gram = roots.transpose(0, 2, 1) @ roots
+        assert np.abs(gram - infos).max() <= 1e-13 * np.abs(infos).max()
 
     @pytest.mark.parametrize("times", [
         np.arange(20.0),

@@ -725,6 +725,36 @@ class TestIncrementalFullHistory:
         gridded = len(held) - (held.count(None) if policy == POLICY_COALESCE else 0)
         assert first.positions.shape == (gridded, 2)
 
+    @pytest.mark.parametrize("policy, window", [
+        *(pytest.param(policy, None, id=policy) for policy in POLICIES),
+        *(pytest.param(policy, 25, id=f"{policy}-window-25") for policy in POLICIES),
+    ])
+    def test_one_decomposition_per_gridded_step(self, monkeypatch, policy, window):
+        """A fix or a forecast is checked and decomposed by one eigh, which the
+        elimination reuses; placeholders and coalesced gaps take none."""
+        calls = []
+
+        def counted(name):
+            decompose = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return decompose(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        tracker = SequentialTracker(TrackerConfig(eta=10.0, window=window, policy=policy))
+        times, fixes = maneuvering_stream(2, seed=3, n=200, decades=1.0)
+        seen = set()
+        for t, fix in zip(times, fixes):
+            calls.clear()
+            provenance = tracker.step(float(t), fix).provenance
+            assert calls == ([] if provenance == PROVENANCE_DROPPED else ["eigh"]), t
+            seen.add(provenance)
+        emitted = {POLICY_FORECAST: PROVENANCE_FORECAST}.get(policy, PROVENANCE_DROPPED)
+        assert seen == {PROVENANCE_OBSERVED, emitted}
+
     @pytest.mark.parametrize("policy", [POLICY_COALESCE, POLICY_ZERO_WEIGHT])
     def test_trajectory_outlives_a_thinned_window(self, policy):
         """Read only after the window has thinned below three usable fixes,
