@@ -159,15 +159,10 @@ def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **section
 
     ``outputs`` maps each output key to ``(basename, writer, *data)``, and
     each file is written as ``writer(path, *data, manifest_digest=...)``.
-    ``sections`` are further top-level manifest entries. Prints the output
-    paths in key order.
+    ``sections`` are further top-level manifest entries. The digest is taken
+    before anything is written, so a manifest that is not strict JSON raises
+    SchemaError with no output written. Prints the output paths in key order.
     """
-    out_dir = args.out
-    if out_dir and not os.path.isdir(out_dir):
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise IOFailure(f"cannot create output directory {out_dir}: {exc}") from exc
     manifest = {
         "format": fileio.MANIFEST_FORMAT,
         "command": args.command,
@@ -177,6 +172,12 @@ def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **section
         "outputs": {key: basename for key, (basename, *_) in outputs.items()},
     }
     digest = fileio.manifest_digest(manifest)
+    out_dir = args.out
+    if out_dir and not os.path.isdir(out_dir):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IOFailure(f"cannot create output directory {out_dir}: {exc}") from exc
     for basename, writer, *data in outputs.values():
         writer(os.path.join(out_dir, basename), *data, manifest_digest=digest)
     fileio.write_manifest(os.path.join(out_dir, manifest_name), manifest)

@@ -213,13 +213,23 @@ def write_json(path: str, payload: Mapping[str, object]) -> None:
 
 
 def read_json(path: str) -> dict:
-    """The JSON object in ``path``; NaN or Infinity, not valid JSON, raises SchemaError."""
+    """The JSON object in ``path``; raises SchemaError for what is not strict JSON.
+
+    That covers NaN and Infinity, which JSON lacks, and a number past the
+    float range, such as 1e400, which would otherwise read as an infinity.
+    """
     def reject(constant: str):
         raise SchemaError(f"{path} holds {constant}, which is not valid JSON")
 
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise SchemaError(f"{path} holds {text}, a number past the float range")
+        return value
+
     try:
-        payload = json.loads(_read_text(path), parse_constant=reject)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(_read_text(path), parse_constant=reject, parse_float=finite)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path} must hold a JSON object")
@@ -227,9 +237,16 @@ def read_json(path: str) -> dict:
 
 
 def manifest_digest(manifest: Mapping[str, object]) -> str:
-    """Hash of the canonical JSON form of a manifest (digest key excluded)."""
+    """Hash of the canonical JSON form of a manifest (digest key excluded).
+
+    That form is strict JSON: a NaN or an infinity raises SchemaError, so a
+    manifest that ``write_manifest`` would refuse has no digest either.
+    """
     core = {key: value for key, value in manifest.items() if key != "digest"}
-    canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    try:
+        canonical = json.dumps(core, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise SchemaError(f"manifest is not strict JSON: {exc}") from None
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -50,6 +50,8 @@ included, is kept as an oracle for tests and diagnostics.
 
 from __future__ import annotations
 
+import math
+import threading
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -88,9 +90,10 @@ __all__ = [
     "oracle_residuals",
 ]
 
-# Sweep panels hold about this many rows, so that each QR call eliminates
-# several samples when the blocks are small (5d rows per sample).
-PANEL_ROWS = 25
+# New rows per sweep panel, rounded to whole samples of 5d rows: each QR
+# call eliminates several samples when the blocks are small. The b = 5d
+# rows carried from the panel before come on top.
+PANEL_ROWS = 30
 
 _EPS = float(np.finfo(float).eps)
 
@@ -289,6 +292,30 @@ class EtaSearchResult:
     trajectory: ShadowingTrajectory  # the fit at ``eta``, whose RMS acceleration is xi
 
 
+class _Workspace(threading.local):
+    """Grow-only scratch arrays of one thread's solves, kept between solves.
+
+    A solve's temporaries run to megabytes, which the allocator returns to
+    the system after each solve and faults in again on the next; kept, they
+    cost no page faults once the thread's largest solve has run. Each
+    thread has its own buffers, so solves in two threads do not share one.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The named buffer viewed as ``shape``, uninitialized; grows it when too small."""
+        size = math.prod(shape)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
                        eta: float) -> np.ndarray:
     """Block rows of the stationarity system pinned at the final velocity.
@@ -308,7 +335,9 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     tau = taus[:, None, None] * eye
     P, V, A, LAM, MU = range(5)
     # [sample, equation, coupled sample (previous, own, next), unknown, row, column]
-    K = np.zeros((m, 5, 3, 5, d, d))
+    # K is dead before a sweep starts, so it borrows the sweep's "done" buffer.
+    K = _WORKSPACE.take("done", (m, 5, 3, 5, d, d))
+    K.fill(0.0)
     K[:, 0, 1, P] = infos
     K[1:, 0, 0, LAM] = eye
     K[:-1, 0, 1, LAM] = -eye
@@ -355,6 +384,10 @@ def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     each panel's orthogonal factor to the new columns. On affine data over
     gaps spread across 3 to 5 decades the first pass keeps only 7 to 2
     digits; the correction restores 10 or more.
+
+    Every array the sweep builds per solve comes from the calling thread's
+    ``_WORKSPACE``, which keeps the memory of that thread's largest solve;
+    the results are fresh arrays, so none aliases the workspace.
     """
     m, b, width = rows.shape
     d, k = b // 5, width - 3 * b
@@ -365,7 +398,9 @@ def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
     # Panel g holds b carried rows over row blocks g s + 1 ... g s + s, in
     # the columns of samples g s ... g s + s + 1, then the right-hand sides:
     # k in the first pass, 2 k in the second.
-    work = np.zeros((panels + 1, sb + b, cols + 2 * k))
+    ws = _WORKSPACE
+    work = ws.take("work", (panels + 1, sb + b, cols + 2 * k))
+    work.fill(0.0)
     for t in range(s):
         blocks = rows[1 + t::s, :, :3 * b]
         work[:len(blocks), (t + 1) * b:(t + 2) * b, t * b:(t + 3) * b] = blocks
@@ -377,14 +412,15 @@ def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
         work[g, (t + 1) * b:(t + 2) * b, (t + 1) * b:(t + 2) * b] = np.eye(b)
 
     def set_rhs(rhs: np.ndarray) -> None:
-        full = np.zeros((padded,) + rhs.shape[1:])
+        full = ws.take("full", (padded,) + rhs.shape[1:])
         full[:m] = rhs
+        full[m:] = 0.0
         work[:-1, b:, cols:cols + rhs.shape[2]] = full[1:].reshape(panels, sb, -1)
         work[0, :b, cols:cols + rhs.shape[2]] = full[0]
 
     set_rhs(rows[:, :, 3 * b:])
     upper = np.triu(np.ones((b, b)))
-    done = np.empty((panels, sb, cols + k))
+    done = ws.take("done", (panels, sb, cols + k))
     for g in range(panels):
         # LAPACK's raw layout holds R transposed; entries below its
         # diagonal are reflectors, masked off in the carried rows.
@@ -399,11 +435,12 @@ def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
                                     np.diagonal(last)]))
     _require_nonsingular(pivots.min(), pivots.max())
     tri = done[:, :, :sb]
-    solved = _back_substitute(tri, done[:, :, sb:])
+    solved = _back_substitute(tri, done[:, :, sb:], ws.take("solved", (panels, sb, 2 * b + k)))
     H = solved[:, :, :2 * b]
 
-    def substitute(c: np.ndarray) -> np.ndarray:
-        x = np.zeros((padded + 1, b, c.shape[2]))
+    def substitute(c: np.ndarray, name: str) -> np.ndarray:
+        x = ws.take(name, (padded + 1, b, c.shape[2]))
+        x[padded] = 0.0
         x[padded - 1] = np.linalg.solve(last, work[panels, :b, cols:cols + c.shape[2]])
         for g in range(panels - 1, -1, -1):
             j = g * s
@@ -411,28 +448,28 @@ def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
             x[j:j + s] = (c[g] - H[g] @ after).reshape(s, b, -1)
         return x[:m]
 
-    x = substitute(solved[:, :, 2 * b:])
-    rhs = np.zeros((m, b, 2 * k))
+    x = substitute(solved[:, :, 2 * b:], "x")
+    rhs = ws.take("rhs", (m, b, 2 * k))
     rhs[:, :, :k] = rows[:, :, 3 * b:] - _block_product(rows, x)
+    rhs[:, :, k:] = 0.0
     # d(K x)/d eta on each acceleration-stationarity row is its a coefficient over eta.
     scaled = np.diagonal(rows[:-1, 2 * d:3 * d, b + 2 * d:b + 3 * d], axis1=1, axis2=2)
     rhs[:-1, 2 * d:3 * d, k:] = -(scaled / eta)[:, :, None] * x[:-1, 2 * d:3 * d]
     set_rhs(rhs)
-    ends = np.empty((panels, sb, 2 * k))
+    ends = ws.take("ends", (panels, sb, 2 * k))
     for g in range(panels):
         r = np.linalg.qr(work[g], mode="raw")[0].T
         ends[g] = r[:sb, cols:]
         work[g + 1, :b, cols:] = r[sb:, cols:]
-    step = substitute(_back_substitute(tri, ends))
-    x += step[:, :, :k]
+    step = substitute(_back_substitute(tri, ends, ws.take("refined", ends.shape)), "step")
+    x = x + step[:, :, :k]
     if not np.all(np.isfinite(x)):
         raise SingularSystem("stationarity solve produced non-finite values")
-    return x, step[:, :, k:]
+    return x, step[:, :, k:].copy()
 
 
-def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a stack of upper-triangular systems, row by row."""
-    out = np.empty_like(rhs)
+def _back_substitute(tri: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve a stack of upper-triangular systems, row by row, into ``out``."""
     for r in range(tri.shape[1] - 1, -1, -1):
         dot = (tri[:, r:r + 1, r + 1:] @ out[:, r + 1:])[:, 0]
         out[:, r] = (rhs[:, r] - dot) / tri[:, r, r, None]

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, manifests, reruns, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from shadowtrack import (
     solve_scalar,
     solver,
 )
+from shadowtrack.errors import SchemaError
 
 
 def run_cli(*argv):
@@ -514,9 +516,7 @@ class TestTransform:
         assert run_cli("transform", pairs, geo, "--out", str(tmp_path)) == 3
         assert named in capsys.readouterr().err
 
-    # Strict JSON has no NaN, but 1e400 still reads as an infinity.
-    @pytest.mark.parametrize("disambiguator", ["[1.0, 2.0, 3.0]", "[1e400, 0.0]"],
-                             ids=["three-coordinates", "infinite"])
+    @pytest.mark.parametrize("disambiguator", ["[1.0, 2.0, 3.0]"], ids=["three-coordinates"])
     def test_bad_disambiguator_is_named_without_a_row(self, tmp_path, capsys, disambiguator):
         path = write_reader_input(tmp_path, "range-pairs")
         geo = tmp_path / "geo.json"
@@ -527,7 +527,8 @@ class TestTransform:
         err = capsys.readouterr().err
         assert "disambiguator must" in err and "row" not in err
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    # 1e400 is valid JSON that would read as an infinity.
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_strict_json_geometry_exits_3(self, tmp_path, capsys, constant):
         path = write_reader_input(tmp_path, "polar")
         geo = tmp_path / "geo.json"
@@ -536,6 +537,18 @@ class TestTransform:
         assert run_cli("transform", path, str(geo), "--out", str(out)) == 3
         assert f"geo.json holds {constant}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_manifest_that_is_not_strict_json_writes_no_output(self, tmp_path):
+        # transform copies the geometry object into its manifest, so a
+        # non-finite value there must stop the run before any output exists.
+        out = tmp_path / "out"
+        out.mkdir()
+        args = argparse.Namespace(command="transform", out=str(out))
+        outputs = {"estimates": ("estimates.csv", fileio.write_scalar_observations,
+                                 np.arange(3.0), np.zeros(3), np.ones(3))}
+        with pytest.raises(SchemaError, match="not strict JSON"):
+            cli._publish(args, {}, "manifest.json", outputs, geometry={"note": math.inf})
+        assert list(out.iterdir()) == []
 
     def test_unconvertible_reading_names_its_row(self, tmp_path, capsys):
         path = write_reader_input(tmp_path, "polar")

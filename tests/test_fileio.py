@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -389,6 +390,21 @@ class TestManifests:
             bad.write_text(f'{{"note": {constant}}}')
             with pytest.raises(SchemaError, match=f"bad.json holds {constant}"):
                 fileio.read_json(str(bad))
+        # Numbers past the float range would read as infinities.
+        for number in ("1e400", "-1.5e309", "[0.5, 2e308]"):
+            bad.write_text(f'{{"note": {number}}}')
+            with pytest.raises(SchemaError, match="bad.json holds .* past the float range"):
+                fileio.read_json(str(bad))
+        bad.write_text('{"note": [1.7976931348623157e308, -1e-400, 12]}')
+        assert fileio.read_json(str(bad)) == {"note": [1.7976931348623157e308, -0.0, 12]}
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python parses integers of any length")
+    def test_read_json_rejects_integers_python_will_not_parse(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"note": 1' + "0" * (sys.get_int_max_str_digits() + 1) + "}")
+        with pytest.raises(SchemaError, match="bad.json is not valid JSON"):
+            fileio.read_json(str(bad))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_write_json_is_strict(self, tmp_path, value):

@@ -311,6 +311,12 @@ class TestTwoRanges:
         assert upper.position[1] == pytest.approx(1.0)
         assert lower.position[1] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("disambiguator", [[math.inf, 0.0], [0.0, math.nan]])
+    def test_non_finite_disambiguator_rejected(self, disambiguator):
+        with pytest.raises(DataError, match="disambiguator must be finite"):
+            two_ranges_to_position(SensorSite([0.0, 0.0]), SensorSite([2.0, 0.0]),
+                                   1.5, 1.5, disambiguator)
+
     def test_tangent_circles_drop_with_zero_weight(self):
         est = two_ranges_to_position(
             SensorSite([0.0, 0.0]), SensorSite([2.0, 0.0]), 1.0, 1.0, [0.0, 1.0]

@@ -1,5 +1,7 @@
 """Batch solver behavior against closed forms and the dense stationarity oracle."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +406,17 @@ def random_vector_series(rng, m, dim):
     return VectorObservationSeries(grid=build_time_grid(times), values=values, informations=infos)
 
 
+def dense_lu_sweep(taus, values, infos, eta):
+    """The pinned stationarity rows at eta, and their (m, b, k) solution by a dense LU."""
+    rows = solver._stationarity_rows(taus, values, infos, eta)
+    m, b, _ = rows.shape
+    dense = np.zeros((m * b, (m + 2) * b))
+    for i in range(m):
+        dense[i * b:(i + 1) * b, i * b:(i + 3) * b] = rows[i, :, :3 * b]
+    solution = np.linalg.solve(dense[:, b:-b], rows[:, :, 3 * b:].reshape(m * b, -1))
+    return rows, solution.reshape(m, b, -1)
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("time_reversed", [True, False])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -430,14 +443,33 @@ class TestDenseReference:
         rng = np.random.default_rng([29, dim])
         for eta in (1e-3, 1.0, 1e6):
             obs = random_vector_series(rng, 60, dim)
-            rows = solver._stationarity_rows(obs.grid.taus, obs.values, obs.informations, eta)
-            m, b, _ = rows.shape
-            dense = np.zeros((m * b, (m + 2) * b))
-            for i in range(m):
-                dense[i * b:(i + 1) * b, i * b:(i + 3) * b] = rows[i, :, :3 * b]
-            expected = np.linalg.solve(dense[:, b:-b], rows[:, :, 3 * b:].reshape(m * b, -1))
-            found = solver._sweep(rows.copy(), eta)[0].reshape(m * b, -1)
+            rows, expected = dense_lu_sweep(obs.grid.taus, obs.values, obs.informations, eta)
+            found = solver._sweep(rows.copy(), eta)[0]
             assert np.abs(found - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sweep_and_eta_slope_match_dense_lu_at_every_panel_remainder(self, dim):
+        """Every length m = 3 ... 2s + 3: a single panel, and each padding remainder.
+
+        The slope dx/d eta is checked against a central difference of the
+        dense solve, on the scale max|x| / eta of d x / d log eta: the
+        difference's own errors stay below 1e-9 of that.
+        """
+        s = round(solver.PANEL_ROWS / (5 * dim))  # row blocks per panel
+        rng = np.random.default_rng([31, dim])
+        for m in range(3, 2 * s + 4):
+            taus = 10.0 ** rng.uniform(-0.5, 0.5, m - 1)
+            values = rng.standard_normal((m, dim)) * 3.0
+            factors = rng.standard_normal((m, dim, dim))
+            infos = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+            for eta in (1e-3, 1.0, 1e6):
+                rows, expected = dense_lu_sweep(taus, values, infos, eta)
+                found, slope = solver._sweep(rows, eta)
+                assert np.abs(found - expected).max() <= 1e-12 * np.abs(expected).max()
+                h = 1e-5 * eta
+                difference = (dense_lu_sweep(taus, values, infos, eta + h)[1]
+                              - dense_lu_sweep(taus, values, infos, eta - h)[1]) / (2.0 * h)
+                assert np.abs(slope - difference).max() <= 1e-8 * np.abs(expected).max() / eta
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_residual_norm_is_master_system_residual(self, dim):
@@ -473,6 +505,59 @@ class TestDenseReference:
         error = np.abs(positions - values).max() / scale
         assert error <= np.abs(reference - values).max() / scale
         assert error <= 1e-12
+
+
+class TestSweepWorkspace:
+    """Solves reuse one workspace per thread; no result may depend on or alias it."""
+
+    def test_results_survive_later_solves_and_ignore_stale_contents(self):
+        rng = np.random.default_rng(41)
+        small, large = random_vector_series(rng, 41, 2), random_vector_series(rng, 120, 2)
+        rows = [solver._stationarity_rows(obs.grid.taus, obs.values, obs.informations, 3.0)
+                for obs in (small, large)]
+        solver._sweep(rows[1], 3.0)  # grows the workspace, so no later solve reallocates it
+        first = solver._sweep(rows[0], 3.0)
+        kept = [part.copy() for part in first]
+        solver._sweep(rows[1], 3.0)
+        for before, after in zip(kept, first):
+            assert before.tobytes() == after.tobytes()
+        for buffer in solver._WORKSPACE.buffers.values():
+            buffer.fill(np.nan)
+        again = solver._sweep(rows[0], 3.0)
+        for before, repeat in zip(kept, again):
+            assert before.tobytes() == repeat.tobytes()
+
+    def test_concurrent_solves_match_sequential_ones(self):
+        rng = np.random.default_rng(43)
+        series = [random_vector_series(rng, m, dim)
+                  for m, dim in ((150, 2), (60, 1), (200, 1), (90, 3))]
+        expected = [solve_vector(obs, 5.0) for obs in series]
+        found = [[] for _ in series]
+        start = threading.Barrier(len(series))
+
+        def solve_repeatedly(i):
+            start.wait(timeout=30)
+            for _ in range(5):
+                found[i].append(solve_vector(series[i], 5.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve_repeatedly, args=(i,))
+                       for i in range(len(series))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(expected, found):
+            assert len(got) == 5
+            for traj in got:
+                assert traj.positions.tobytes() == want.positions.tobytes()
+                assert traj.accelerations.tobytes() == want.accelerations.tobytes()
+                assert traj.log_xi_slope == want.log_xi_slope
 
 
 class TestWindowStartTransient:
