@@ -354,26 +354,28 @@ def _geometry_entry(geometry: dict, key: str):
     return geometry[key]
 
 
-def _coordinates(value, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"geometry entry {what} must be numeric, got {value!r}") from exc
+def _point(value, what: str) -> np.ndarray:
+    """A planar point of JSON numbers, which strings and booleans are not."""
+    if all(type(item) in (int, float) for item in (value if isinstance(value, list) else [value])):
+        try:
+            return _planar_point(value, f"geometry entry {what}")
+        except OverflowError:  # an integer past the float range
+            pass
+    raise SchemaError(f"geometry entry {what} must be numeric, got {value!r}")
 
 
 def _site_from_geometry(entry: dict, what: str) -> SensorSite:
     if not isinstance(entry, dict):
         raise SchemaError(f"geometry entry {what} must be an object")
     if "start" in entry:
-        start = _coordinates(entry["start"], f"{what}.start")
-        end = _coordinates(entry.get("end", entry["start"]), f"{what}.end")
-        span = _coordinates(entry.get("span", 1.0), f"{what}.span")
-        if span.shape != () or not span > 0:
+        start = _point(entry["start"], f"{what}.start")
+        end = _point(entry.get("end", entry["start"]), f"{what}.end")
+        span = entry.get("span", 1.0)
+        if type(span) not in (int, float) or not 0.0 < span <= sys.float_info.max:
             raise SchemaError(f"geometry entry {what} needs a positive number as span")
         return SensorSite(start, path=_segment_path(start, end, float(span)))
     if "site" in entry or "position" in entry:
-        position = _coordinates(entry.get("site", entry.get("position")), f"{what}.position")
-        return SensorSite(position)
+        return SensorSite(_point(entry.get("site", entry.get("position")), f"{what}.position"))
     raise SchemaError(f"geometry entry {what} needs 'start'/'end' or 'position'")
 
 
@@ -385,7 +387,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     kind = geometry.get("kind")
 
     if kind == "range-bearing":
-        site = SensorSite(_coordinates(_geometry_entry(geometry, "site"), "site"))
+        site = SensorSite(_point(_geometry_entry(geometry, "site"), "site"))
         times, observations = fileio.read_polar_observations(args.readings)
         estimates = fileio._by_row(
             lambda t, obs: range_bearing_to_position(site, obs, args.mode, time=float(t)),
@@ -403,9 +405,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     elif kind == "two-ranges":
         site_a = _site_from_geometry(_geometry_entry(geometry, "site_a"), "site_a")
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
-        previous = _planar_point(
-            _coordinates(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator"),
-            "disambiguator")
+        previous = _point(geometry.get("disambiguator", [0.0, 0.0]), "disambiguator")
         times, ranges, variances = fileio.read_range_pairs(args.readings)
 
         def fix(t, pair, variance):

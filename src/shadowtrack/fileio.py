@@ -37,18 +37,9 @@ from .errors import (
     NonSymmetricInformation,
     SchemaError,
 )
-from .geometry import (
-    PROVENANCE_VALUES,
-    PolarObservation,
-    RawPositionEstimate,
-)
-from .matrices import build_time_grid
-from .solver import (
-    ScalarObservationSeries,
-    ShadowingTrajectory,
-    VectorObservationSeries,
-    _symmetrized,
-)
+from .geometry import PolarObservation, RawPositionEstimate
+from .matrices import _symmetrized, build_time_grid
+from .solver import ScalarObservationSeries, ShadowingTrajectory, VectorObservationSeries
 from .tracker import TrackPoint, _scalar_fix
 
 SCHEMA_SCALAR_OBS = "shadowtrack.scalar-observations.v1"
@@ -630,10 +621,5 @@ def read_raw_estimates(
 
 def _raw_estimates(table: Table) -> Tuple[np.ndarray, Tuple[RawPositionEstimate, ...]]:
     times, x, y, ixx, ixy, iyy, weights, provenance = _columns(table)
-    for i, label in enumerate(provenance):
-        if label not in PROVENANCE_VALUES:
-            raise SchemaError(
-                f"unknown provenance {label!r}", row=i, column="provenance"
-            )
     fixes = zip(np.column_stack([x, y]), _informations(ixx, ixy, iyy), weights, provenance)
     return times, _by_row(RawPositionEstimate, fixes, {"weight": "w"})

@@ -10,7 +10,7 @@ provenance label. Degraded fixes are returned with provenance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -18,12 +18,11 @@ import numpy as np
 from .errors import (
     CoincidentSites,
     DataError,
-    NonSymmetricInformation,
     RangeTooSmall,
     ShapeMismatch,
     UsageError,
 )
-from .matrices import _frozen
+from .matrices import _frozen, _symmetrized
 
 __all__ = [
     "MODE_IGNORE_CORRELATION",
@@ -135,13 +134,15 @@ class RawPositionEstimate:
     ``weight`` the conditioning weight in [0, 1] of the transform that
     produced it, and ``provenance`` one of ``"observed"``,
     ``"forecast-inserted"``, or ``"dropped"``. Dropped estimates must not
-    enter a solve.
+    enter a solve. Construction checks the information by ``_symmetrized``,
+    the rule of every series, and keeps its root R (R^T R = information) as ``root``.
     """
 
     position: np.ndarray
     information: np.ndarray
     weight: float
     provenance: str
+    root: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         position = np.asarray(self.position, dtype=float)
@@ -159,19 +160,17 @@ class RawPositionEstimate:
             )
         if not np.all(np.isfinite(info)):
             raise DataError("information matrix must be finite")
-        scale = float(np.max(np.abs(info))) if info.size else 0.0
-        if float(np.max(np.abs(info - info.T))) > 1e-9 * (1.0 + scale):
-            raise NonSymmetricInformation("information matrix must be symmetric")
+        sym, root = _symmetrized(info[None], where="of this estimate")
         weight = float(self.weight)
         if not math.isfinite(weight) or weight < 0.0 or weight > 1.0 + 1e-12:
             raise DataError(f"condition weight must lie in [0, 1], got {weight}",
                             argument="weight")
         if self.provenance not in PROVENANCE_VALUES:
-            raise UsageError(
-                f"provenance must be one of {PROVENANCE_VALUES}, got {self.provenance!r}"
-            )
+            raise DataError(f"unknown provenance {self.provenance!r}; expected one of "
+                            f"{PROVENANCE_VALUES}", argument="provenance")
         object.__setattr__(self, "position", _frozen(position))
-        object.__setattr__(self, "information", _frozen((info + info.T) / 2.0))
+        object.__setattr__(self, "information", _frozen(sym[0]))
+        object.__setattr__(self, "root", _frozen(root[0]))
         object.__setattr__(self, "weight", min(weight, 1.0))
 
     @property

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIncreasingTimes, ShapeMismatch, TooFewPoints
+from .errors import (
+    IndefiniteInformation,
+    NonIncreasingTimes,
+    NonSymmetricInformation,
+    ShapeMismatch,
+    TooFewPoints,
+)
 
 __all__ = [
     "TimeGrid",
@@ -39,6 +45,37 @@ def _frozen(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric parts W of finite (m, d, d) information matrices, and their roots.
+
+    One eigendecomposition W = V diag(lambda) V^T per matrix checks that W
+    is positive semidefinite and gives the root sqrt(max(lambda, 0)) V^T,
+    whose Gram matrix is W even when W is singular, unlike a Cholesky
+    factor. Raises NonSymmetricInformation or IndefiniteInformation for the
+    first matrix that is not symmetric, or not positive semidefinite, to
+    within 1e-12 of one plus its largest entry; ``where`` names it in the
+    message, formatted with its index.
+    """
+    scale = np.abs(infos).max(axis=(1, 2))
+    skew = np.abs(infos - np.transpose(infos, (0, 2, 1))).max(axis=(1, 2))
+    bad = np.nonzero(skew > 1e-12 * (1.0 + scale))[0]
+    if bad.size:
+        raise NonSymmetricInformation(
+            f"information matrix {where.format(int(bad[0]))} is not symmetric "
+            f"(max asymmetry {skew[bad[0]]:.3e})"
+        )
+    sym = 0.5 * (infos + np.transpose(infos, (0, 2, 1)))
+    eigenvalues, vectors = np.linalg.eigh(sym)
+    low = eigenvalues.min(axis=1)
+    bad = np.nonzero(low < -1e-12 * (1.0 + scale))[0]
+    if bad.size:
+        raise IndefiniteInformation(
+            f"information matrix {where.format(int(bad[0]))} has eigenvalue "
+            f"{low[bad[0]]:.3e}"
+        )
+    return sym, np.sqrt(np.maximum(eigenvalues, 0.0))[:, :, None] * np.swapaxes(vectors, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -83,7 +120,7 @@ def build_time_grid(times) -> TimeGrid:
         bad = int(np.argmax(taus <= 0.0))
         raise NonIncreasingTimes(
             f"times must be strictly increasing; violation between samples "
-            f"{bad} and {bad + 1} ({arr[bad]!r} -> {arr[bad + 1]!r})"
+            f"{bad} and {bad + 1} ({float(arr[bad])!r} -> {float(arr[bad + 1])!r})"
         )
     return TimeGrid(times=_frozen(arr), taus=_frozen(taus))
 

@@ -257,8 +257,10 @@ def gen_planar_path(
 
 
 def _segment_path(start: np.ndarray, end: np.ndarray, span: float):
+    # Past the float range a position comes out infinite, for SensorSite.at to reject.
     def path(time: float) -> np.ndarray:
-        return start + (end - start) * (float(time) / span)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return start + (end - start) * (float(time) / span)
 
     return path
 

@@ -61,10 +61,8 @@ from .errors import (
     BracketDoesNotStraddle,
     DataError,
     DegenerateWeights,
-    IndefiniteInformation,
     MaxIterations,
     NonPositiveEta,
-    NonSymmetricInformation,
     ShapeMismatch,
     SingularSystem,
     TimeOutOfRange,
@@ -72,7 +70,7 @@ from .errors import (
 )
 # build_filter_matrices stays importable from here: it is the operator
 # layer of the master system, which the structured solve no longer forms.
-from .matrices import TimeGrid, _frozen, build_filter_matrices  # noqa: F401
+from .matrices import TimeGrid, _frozen, _symmetrized, build_filter_matrices  # noqa: F401
 
 __all__ = [
     "ScalarObservationSeries",
@@ -199,37 +197,6 @@ class VectorObservationSeries:
         return self.values.shape[1]
 
 
-def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric parts W of finite (m, d, d) information matrices, and their roots.
-
-    One eigendecomposition W = V diag(lambda) V^T per matrix checks that W
-    is positive semidefinite and gives the root sqrt(max(lambda, 0)) V^T,
-    whose Gram matrix is W even when W is singular, unlike a Cholesky
-    factor. Raises NonSymmetricInformation or IndefiniteInformation for the
-    first matrix that is not symmetric, or not positive semidefinite, to
-    within 1e-12 of one plus its largest entry; ``where`` names it in the
-    message, formatted with its index.
-    """
-    scale = np.abs(infos).max(axis=(1, 2))
-    skew = np.abs(infos - np.transpose(infos, (0, 2, 1))).max(axis=(1, 2))
-    bad = np.nonzero(skew > 1e-12 * (1.0 + scale))[0]
-    if bad.size:
-        raise NonSymmetricInformation(
-            f"information matrix {where.format(int(bad[0]))} is not symmetric "
-            f"(max asymmetry {skew[bad[0]]:.3e})"
-        )
-    sym = 0.5 * (infos + np.transpose(infos, (0, 2, 1)))
-    eigenvalues, vectors = np.linalg.eigh(sym)
-    low = eigenvalues.min(axis=1)
-    bad = np.nonzero(low < -1e-12 * (1.0 + scale))[0]
-    if bad.size:
-        raise IndefiniteInformation(
-            f"information matrix {where.format(int(bad[0]))} has eigenvalue "
-            f"{low[bad[0]]:.3e}"
-        )
-    return sym, np.sqrt(np.maximum(eigenvalues, 0.0))[:, :, None] * np.swapaxes(vectors, 1, 2)
-
-
 @dataclass(frozen=True)
 class ShadowingTrajectory:
     """Solved trajectory: positions at the samples, one acceleration per gap.
@@ -334,10 +301,11 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     eye = np.eye(d)
     tau = taus[:, None, None] * eye
     P, V, A, LAM, MU = range(5)
-    # [sample, equation, coupled sample (previous, own, next), unknown, row, column]
-    # K is dead before a sweep starts, so it borrows the sweep's "done" buffer.
-    K = _WORKSPACE.take("done", (m, 5, 3, 5, d, d))
-    K.fill(0.0)
+    b = 5 * d
+    rows = np.zeros((m, b, 3 * b + d + 1))
+    # The coefficient blocks viewed as [sample, equation, coupled sample
+    # (previous, own, next), unknown, row, column].
+    K = rows[:, :, :3 * b].reshape(m, 5, d, 3, 5, d).transpose(0, 1, 3, 4, 2, 5)
     K[:, 0, 1, P] = infos
     K[1:, 0, 0, LAM] = eye
     K[:-1, 0, 1, LAM] = -eye
@@ -356,9 +324,6 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     K[:-1, 4, 1, A] = -tau
     for eq, unknown in ((1, V), (2, A), (3, LAM), (4, MU)):
         K[-1, eq, 1, unknown] = eye
-    b = 5 * d
-    rows = np.zeros((m, b, 3 * b + d + 1))
-    rows[:, :, :3 * b] = K.transpose(0, 1, 4, 2, 3, 5).reshape(m, b, 3 * b)
     rows[:, :d, 3 * b] = np.einsum("jab,jb->ja", infos, values)
     rows[-1, d:2 * d, 3 * b + 1:] = eye
     rows /= np.abs(rows[:, :, :3 * b]).max(axis=2)[:, :, None]
@@ -499,7 +464,21 @@ def _master_residual(taus, values, infos, eta, p) -> float:
     gap = t[:-1] * t[1:] * (t[:-1] * core[:-1] + t[1:] * core[1:])
     junction = t[1:] * p[:-2] - (t[:-1] + t[1:]) * p[1:-1] + t[:-1] * p[2:]
     rows = 0.25 * gap + eta * junction
-    return float(np.sqrt(np.sum(rows ** 2) + np.sum(u.sum(axis=0) ** 2)))
+    return _rescaled(lambda rows, ends: float(np.sqrt(np.sum(rows ** 2) + np.sum(ends ** 2))),
+                     1, rows, u.sum(axis=0))
+
+
+def _rescaled(f, degree: int, *arrays: np.ndarray) -> float:
+    """f(*arrays), homogeneous of ``degree`` in the arrays, as s^degree f(arrays / s)
+    where the plain value is not finite (squares past the float range, say), with s
+    the arrays' largest magnitude; a finite value is left as it is, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = f(*arrays)
+        if not math.isfinite(value):
+            scale = max(float(np.abs(x).max()) for x in arrays)
+            if 0.0 < scale < math.inf:
+                value = scale ** degree * f(*(x / scale for x in arrays))
+    return value
 
 
 def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
@@ -534,8 +513,7 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
     dalpha = np.linalg.lstsq(gram, dbeta - (dgram + dgram.T) @ alpha, rcond=None)[0]
     da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
     t = taus[:, None]
-    power = float(np.sum(t * a * a))
-    slope = eta * float(np.sum(t * a * da)) / power if power > 0.0 else np.nan
+    slope = _rescaled(lambda a, da: float(eta * np.sum(t * a * da) / np.sum(t * a * a)), 0, a, da)
     resid = _master_residual(taus, values, infos, eta, p)
     if time_reversed:
         p, a = p[::-1], a[::-1]
@@ -594,7 +572,7 @@ class _IncrementalSolve:
     def append(self, time: float, value: np.ndarray, info: np.ndarray, root: np.ndarray) -> None:
         """Add the newest sample: its information W and a root R with R^T R = W.
 
-        ``_symmetrized`` gives both, checked; a zero W has a zero root.
+        A ``RawPositionEstimate`` carries both, checked; a zero W has a zero root.
         """
         self._recent.append((time, value, info, root))
         if len(self._recent) < 3:
@@ -724,10 +702,10 @@ def solve_vector(obs: VectorObservationSeries, eta: float,
 
 
 def rms_acceleration(traj: ShadowingTrajectory) -> float:
-    """Gap-weighted RMS acceleration magnitude over the window."""
-    a = np.reshape(traj.accelerations, (traj.grid.taus.shape[0], -1))
-    sq = np.sum(a ** 2, axis=1)
-    return float(np.sqrt(np.sum(traj.grid.taus * sq) / traj.grid.span))
+    """Gap-weighted RMS acceleration magnitude over the window; finite for a finite fit."""
+    taus, span = traj.grid.taus, traj.grid.span
+    a = np.reshape(traj.accelerations, (taus.shape[0], -1))
+    return _rescaled(lambda a: float(np.sqrt(np.sum(taus * np.sum(a ** 2, axis=1)) / span)), 1, a)
 
 
 def _solve_any(obs, eta: float) -> ShadowingTrajectory:

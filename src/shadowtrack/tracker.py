@@ -43,7 +43,6 @@ from .solver import (
     VectorObservationSeries,
     _IncrementalSolve,
     _require_positive_eta,
-    _symmetrized,
     evaluate_spline,
     solve_scalar,
     solve_vector,
@@ -131,7 +130,7 @@ class _Slot:
     time: float
     value: Optional[np.ndarray]        # None when coalesced out, zero for placeholders
     information: Optional[np.ndarray]  # None when coalesced out, zero for placeholders
-    root: Optional[np.ndarray]         # R with R^T R = information, as ``_symmetrized`` gives
+    root: Optional[np.ndarray]         # R with R^T R = information, as the estimate's root
     raw_weight: float
     emitted: str
     contributes: bool = field(init=False)  # carries information into the solve
@@ -143,10 +142,8 @@ class _Slot:
 
 
 def _fix_slot(time: float, estimate: RawPositionEstimate, raw_weight: float) -> _Slot:
-    """The slot of a usable fix or a forecast, whose information is checked and decomposed once."""
-    information = np.asarray(estimate.information, dtype=float)
-    _, root = _symmetrized(information[None], where=f"of the fix at time {time!r}")
-    return _Slot(time, np.asarray(estimate.position, dtype=float), information, root[0],
+    """The slot of a usable fix or a forecast, as the estimate was checked and decomposed."""
+    return _Slot(time, estimate.position, estimate.information, estimate.root,
                  raw_weight, estimate.provenance)
 
 

@@ -184,6 +184,24 @@ class TestFilter:
         assert np.array_equal(scaled, accel * 1.0)
         assert table.rows[-1][table.column_index("a")] == ""
 
+    def test_values_near_the_float_range_give_a_strict_manifest(self, tmp_path, capsys):
+        times = np.arange(6.0)
+        values = 1e300 * (0.5 * times ** 2 + np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0]))
+        obs_path = str(tmp_path / "huge.csv")
+        fileio.write_scalar_observations(obs_path, times, values, np.ones(6))
+        out = str(tmp_path / "fit")
+        assert run_cli("filter", obs_path, "--eta", "1", "--out", out) == 0
+        manifest = fileio.read_json(os.path.join(out, "huge-eta1-manifest.json"))
+        assert 1e299 < manifest["result"]["rms_acceleration"] < math.inf
+        assert capsys.readouterr().err == ""
+
+    def test_repeated_time_is_named_in_plain_floats(self, tmp_path, capsys):
+        obs_path = str(tmp_path / "repeat.csv")
+        fileio.write_scalar_observations(obs_path, np.array([0.0, 0.0, 1.0, 2.0]),
+                                         np.zeros(4), np.ones(4))
+        assert run_cli("filter", obs_path, "--eta", "1", "--out", str(tmp_path / "fit")) == 3
+        assert "samples 0 and 1 (0.0 -> 0.0)" in capsys.readouterr().err
+
     def test_vector_observations_dispatch(self, tmp_path):
         times = np.arange(6.0)
         values = np.column_stack([1.0 + times, 2.0 - times])
@@ -375,16 +393,12 @@ class TestTrack:
 
     @pytest.mark.parametrize("window", [[], ["--window", "25"]], ids=["full", "window"])
     def test_indefinite_information_names_row(self, tmp_path, capsys, window):
-        times = np.arange(60.0)
-        # Row 40 carries a negated iyy.
-        estimates = [
-            RawPositionEstimate(position=[t, 0.5 * t],
-                                information=np.diag([1.0, -1.0 if i == 40 else 1.0]),
-                                weight=1.0, provenance=PROVENANCE_OBSERVED)
-            for i, t in enumerate(times)
-        ]
+        # Row 40 carries a negated iyy, which no RawPositionEstimate can hold.
+        rows = [(t, t, 0.5 * t, 1.0, 0.0, -1.0 if t == 40 else 1.0, 1.0, PROVENANCE_OBSERVED)
+                for t in np.arange(60.0)]
         path = str(tmp_path / "stream.csv")
-        fileio.write_raw_estimates(path, times, estimates)
+        fileio.write_table(path, fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"), rows)
         assert run_cli("track", path, *window, "--out", str(tmp_path / "trk")) == 3
         err = capsys.readouterr().err
         assert "row 40" in err and "sample" not in err
@@ -503,9 +517,23 @@ class TestTransform:
           "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
         ({"kind": "two-ranges", "site_a": {"position": [0.0, 0.0]},
           "site_b": {"at": [5.0, 0.0]}}, "site_b needs 'start'/'end' or 'position'"),
+        ({"kind": "two-bearings", "site_a": {"start": [0.0, 0.0], "end": [1.0, 2.0, 3.0]},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a.end must have shape (2,)"),
+        ({"kind": "two-ranges", "site_a": {"start": [0.0, 0.0], "span": "inf"},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
+        ({"kind": "two-ranges", "site_a": {"start": [0.0, 0.0], "span": "1"},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
+        ({"kind": "two-ranges", "site_a": {"start": [0.0, 0.0], "span": 10**400},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a needs a positive number as span"),
+        ({"kind": "range-bearing", "site": [True, False]}, "site must be numeric"),
+        ({"kind": "two-ranges", "site_a": {"position": ["1", 0.0]},
+          "site_b": {"position": [5.0, 0.0]}}, "site_a.position must be numeric"),
+        ({"kind": "range-bearing", "site": [0.0, 1.0, 2.0]}, "site must have shape (2,)"),
     ], ids=["unknown-kind", "missing-site", "text-site", "huge-site", "missing-site-a",
             "missing-site-b", "text-start", "object-position", "not-an-object",
-            "list-site", "zero-span", "neither-key"])
+            "list-site", "zero-span", "neither-key", "three-coordinate-end", "text-span",
+            "numeral-span", "huge-span", "boolean-site", "numeral-position",
+            "three-coordinate-site"])
     def test_unknown_geometry_kind_exits_3(self, tmp_path, capsys, geometry, named):
         pairs = str(tmp_path / "pairs.csv")
         fileio.write_range_pairs(
@@ -526,6 +554,18 @@ class TestTransform:
         assert run_cli("transform", path, str(geo), "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "disambiguator must" in err and "row" not in err
+
+    def test_moving_site_past_the_float_range_exits_3_without_a_warning(self, tmp_path,
+                                                                         capsys):
+        path = write_reader_input(tmp_path, "bearings")
+        geo = str(tmp_path / "geo.json")
+        fileio.write_json(geo, {"geometry": {
+            "kind": "two-bearings", "site_b": READER_SITES["site_b"],
+            "site_a": {"start": [0.0, 0.0], "end": [1e308, 1e308], "span": 1e-300}}})
+        out = tmp_path / "out"
+        assert run_cli("transform", path, geo, "--out", str(out)) == 3
+        assert "site path value must be finite (row 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     # 1e400 is valid JSON that would read as an infinity.
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e400"])

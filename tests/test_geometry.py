@@ -8,6 +8,7 @@ import pytest
 from shadowtrack import (
     CoincidentSites,
     DataError,
+    IndefiniteInformation,
     MODE_IGNORE_CORRELATION,
     MODE_PROPAGATE,
     NonSymmetricInformation,
@@ -19,6 +20,8 @@ from shadowtrack import (
     SensorSite,
     ShapeMismatch,
     UsageError,
+    VectorObservationSeries,
+    build_time_grid,
     propagate_information,
     range_bearing_to_position,
     rcond_1norm,
@@ -443,6 +446,33 @@ class TestRawPositionEstimate:
                 provenance=PROVENANCE_OBSERVED,
             )
 
+    @pytest.mark.parametrize("information, error", [
+        # Asymmetric by 1e-10 of its largest entry, past the 1e-12 of the one rule.
+        (np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]]), NonSymmetricInformation),
+        (np.diag([1.0, -1.0]), IndefiniteInformation),
+    ], ids=["asymmetric", "indefinite"])
+    def test_information_judged_by_the_series_rule(self, information, error):
+        with pytest.raises(error, match="of this estimate"):
+            RawPositionEstimate(position=[0.0, 0.0], information=information, weight=1.0,
+                                provenance=PROVENANCE_OBSERVED)
+        infos = np.stack([information, np.eye(2), np.eye(2)])
+        with pytest.raises(error):
+            VectorObservationSeries(grid=build_time_grid([0.0, 1.0, 2.0]),
+                                    values=np.zeros((3, 2)), informations=infos)
+
+    @pytest.mark.parametrize("information", [
+        [[4.0, 1.0], [1.0 + 1e-13, 2.0]], [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)),
+    ], ids=["rounding-skew", "singular", "zero"])
+    def test_root_has_the_information_as_gram(self, information):
+        est = RawPositionEstimate(position=[0.0, 0.0], information=information, weight=1.0,
+                                  provenance=PROVENANCE_OBSERVED)
+        info = np.asarray(information, dtype=float)
+        assert np.array_equal(est.information, 0.5 * (info + info.T))
+        gram = est.root.T @ est.root
+        assert np.abs(gram - est.information).max() <= 1e-15 * (1.0 + np.abs(info).max())
+        assert not est.root.flags.writeable
+        assert "root" not in repr(est)
+
     def test_weight_outside_unit_interval_rejected(self):
         for bad in (1.5, -0.1, float("nan")):
             with pytest.raises(DataError) as caught:
@@ -464,13 +494,14 @@ class TestRawPositionEstimate:
         assert est.weight == 1.0
 
     def test_unknown_provenance_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DataError, match="guessed") as caught:
             RawPositionEstimate(
                 position=[0.0, 0.0],
                 information=np.eye(2),
                 weight=1.0,
                 provenance="guessed",
             )
+        assert caught.value.argument == "provenance"
 
 
 def estimate(position=(0.0, 0.0), information=((1.0, 0.0), (0.0, 1.0))):

@@ -809,6 +809,37 @@ class TestRmsAcceleration:
         assert high < low
 
 
+class TestFiniteFitsStayFinite:
+    """Squares past the float range are taken again over the largest entry."""
+
+    def test_huge_eta_gives_a_finite_residual(self):
+        times = np.arange(6.0)
+        traj = solve_scalar(scalar_series(times, 0.5 * times ** 2), 1e300)
+        assert np.isfinite(traj.residual_norm)
+
+    @pytest.mark.parametrize("eta", [1e-3, 1.0, 1e3])
+    def test_values_near_the_float_range(self, eta):
+        times = np.arange(6.0)
+        shape = 0.5 * times ** 2 + np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+        small = solve_scalar(scalar_series(times, shape), eta)
+        huge = solve_scalar(scalar_series(times, 1e300 * shape), eta)
+        assert rms_acceleration(huge) == pytest.approx(1e300 * rms_acceleration(small),
+                                                       rel=1e-12)
+        assert huge.log_xi_slope == pytest.approx(small.log_xi_slope, rel=1e-9)
+        assert np.isfinite(huge.residual_norm)
+
+    def test_finite_values_are_left_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        rows, ends = rng.standard_normal((40, 2)), rng.standard_normal(2)
+
+        def norm(rows, ends):
+            return float(np.sqrt(np.sum(rows ** 2) + np.sum(ends ** 2)))
+
+        assert solver._rescaled(norm, 1, rows, ends) == norm(rows, ends)
+        assert solver._rescaled(norm, 1, 1e300 * rows, 1e300 * ends) == pytest.approx(
+            1e300 * norm(rows, ends), rel=1e-14)
+
+
 class TestSpline:
     def test_knots_and_dynamics(self):
         rng = np.random.default_rng(13)

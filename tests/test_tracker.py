@@ -730,8 +730,9 @@ class TestIncrementalFullHistory:
         *(pytest.param(policy, 25, id=f"{policy}-window-25") for policy in POLICIES),
     ])
     def test_one_decomposition_per_gridded_step(self, monkeypatch, policy, window):
-        """A fix or a forecast is checked and decomposed by one eigh, which the
-        elimination reuses; placeholders and coalesced gaps take none."""
+        """A fix is checked and decomposed by one eigh when it is made, and a
+        forecast by one inside ``step``; the elimination reuses their roots, so
+        observed fixes, placeholders and coalesced gaps take none in ``step``."""
         calls = []
 
         def counted(name):
@@ -744,13 +745,14 @@ class TestIncrementalFullHistory:
 
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
-        tracker = SequentialTracker(TrackerConfig(eta=10.0, window=window, policy=policy))
         times, fixes = maneuvering_stream(2, seed=3, n=200, decades=1.0)
+        assert calls == ["eigh"] * (len(fixes) - fixes.count(None))
+        tracker = SequentialTracker(TrackerConfig(eta=10.0, window=window, policy=policy))
         seen = set()
         for t, fix in zip(times, fixes):
             calls.clear()
             provenance = tracker.step(float(t), fix).provenance
-            assert calls == ([] if provenance == PROVENANCE_DROPPED else ["eigh"]), t
+            assert calls == (["eigh"] if provenance == PROVENANCE_FORECAST else []), t
             seen.add(provenance)
         emitted = {POLICY_FORECAST: PROVENANCE_FORECAST}.get(policy, PROVENANCE_DROPPED)
         assert seen == {PROVENANCE_OBSERVED, emitted}
@@ -798,10 +800,13 @@ class TestRejectedFix:
         for i in range(30):
             fix = vector_estimate(float(i), 0.5 * i * i)
             if i == 4:
-                bad = RawPositionEstimate(position=[3.0, 3.0], information=np.diag([1.0, -1.0]),
-                                          weight=1.0, provenance=PROVENANCE_OBSERVED)
                 with pytest.raises(IndefiniteInformation):
-                    rejecting.step(3.5, bad)
+                    RawPositionEstimate(position=[3.0, 3.0], information=np.diag([1.0, -1.0]),
+                                        weight=1.0, provenance=PROVENANCE_OBSERVED)
+                spatial = RawPositionEstimate(position=[3.0, 3.0, 3.0], information=np.eye(3),
+                                              weight=1.0, provenance=PROVENANCE_OBSERVED)
+                with pytest.raises(ShapeMismatch):
+                    rejecting.step(3.5, spatial)
             got, want = rejecting.step(float(i), fix), reference.step(float(i), fix)
             assert np.array_equal(got.position, want.position)
             assert np.array_equal(got.velocity, want.velocity)
