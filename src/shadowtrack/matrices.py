@@ -66,7 +66,7 @@ def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> tuple[np.nda
             f"information matrix {where.format(int(bad[0]))} is not symmetric "
             f"(max asymmetry {skew[bad[0]]:.3e})"
         )
-    sym = 0.5 * (infos + np.transpose(infos, (0, 2, 1)))
+    sym = 0.5 * infos + 0.5 * np.transpose(infos, (0, 2, 1))  # halved first: no overflow
     eigenvalues, vectors = np.linalg.eigh(sym)
     low = eigenvalues.min(axis=1)
     bad = np.nonzero(low < -1e-12 * (1.0 + scale))[0]

@@ -399,7 +399,8 @@ def apply_missing(
     interior = np.arange(1, size - 1)
     removed = rng.choice(interior, size=remove, replace=False)
     keep = np.setdiff1d(np.arange(size), removed)
-    # Every field but the grid holds one entry per sample.
-    samples = {f.name: getattr(series, f.name)[keep] for f in fields(series) if f.name != "grid"}
+    # Every constructor field but the grid holds one entry per sample.
+    samples = {f.name: getattr(series, f.name)[keep] for f in fields(series)
+               if f.init and f.name != "grid"}
     thinned = replace(series, grid=build_time_grid(series.grid.times[keep]), **samples)
     return thinned, keep

@@ -19,23 +19,23 @@ reproduces the weighted line fit as eta grows, and ignores values carried
 by zero-information placeholder slots.
 
 The solve never forms that dense system. Its solution family is exactly
-the position part of the complete stationarity system (positions,
-velocities, accelerations and both dual sequences) without its terminal
-row mu_{n-1} = 0, the stationarity of the final velocity. With that row
-replaced by a pin on the final velocity and each sample's unknowns
-(p, v, a, lambda, mu) interleaved, the matrix is block tridiagonal with
-blocks of 5d unknowns. One sweep of small Householder QR factorizations
-solves it for d + 1 right-hand sides at once: the data with the pin at
-zero gives a particular solution, and zero data with the pin at each unit
-vector gives the d null directions. A second pass reuses the first pass's
-panels, triangles and back-substitution operator, and only repeats the
-QR calls that carry new right-hand sides through: the first solution's
-residual (one step of iterative refinement, which recovers the digits
-that badly spread gaps cost the first pass) and the derivative of the
-solution with respect to eta, from which each fit reports d log xi /
-d log eta for the eta search's Newton steps. Time and memory grow
-linearly in the number of samples, and the accelerations come out of
-the same solve.
+the position part of the complete stationarity system without its
+terminal row, the stationarity of the final velocity: the fit with that
+velocity pinned. The pinned fit is a linear least-squares problem with no
+dual variables (the square-root information smoother of Paige & Saunders,
+1977): rows R_j (p_j - y_j) for roots R_j^T R_j = W_j of the
+informations, and rows sqrt(2 eta tau_i) a_i for the gaps, with the
+positions following the exact interval dynamics of the accelerations.
+One sweep of Householder QR factorizations over panels of gaps solves it
+for d + 1 right-hand sides at once: the data with the pin at zero gives a
+particular solution, and zero data with the pin at each unit vector
+gives the d null directions. A second pass repeats the panels' QR calls
+on new right-hand sides only: the first solution's least-squares residual
+(one step of iterative refinement, which recovers the digits that badly
+spread gaps cost the first pass) and the derivative of the solution with
+respect to eta, from which each fit reports d log xi / d log eta for the
+eta search's Newton steps. Time and memory grow linearly in the number of
+samples, and the accelerations come out of the same solve.
 
 Eliminating the duals is causal, so the scheme's approximation error
 gathers at the start of the window the system is built on. A tracker
@@ -51,9 +51,8 @@ included, is kept as an oracle for tests and diagnostics.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,10 +87,8 @@ __all__ = [
     "oracle_residuals",
 ]
 
-# New rows per sweep panel, rounded to whole samples of 5d rows: each QR
-# call eliminates several samples when the blocks are small. The b = 5d
-# rows carried from the panel before come on top.
-PANEL_ROWS = 30
+# Acceleration unknowns per sweep panel, S d for S gaps of d-vectors.
+PANEL_WIDTH = 24
 
 _EPS = float(np.finfo(float).eps)
 
@@ -164,6 +161,7 @@ class VectorObservationSeries:
     grid: TimeGrid
     values: np.ndarray        # (n+1, d)
     informations: np.ndarray  # (n+1, d, d)
+    roots: np.ndarray = field(init=False, repr=False, compare=False)  # R^T R = information
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -182,7 +180,7 @@ class VectorObservationSeries:
             raise DataError("observation values must be finite")
         if not np.all(np.isfinite(infos)):
             raise DataError("information matrices must be finite")
-        sym, _ = _symmetrized(infos)
+        sym, roots = _symmetrized(infos)
         usable = int(np.count_nonzero(np.trace(sym, axis1=1, axis2=2) > 0.0))
         if usable < MIN_EFFECTIVE_SAMPLES:
             raise DegenerateWeights(
@@ -191,6 +189,7 @@ class VectorObservationSeries:
             )
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "informations", _frozen(sym))
+        object.__setattr__(self, "roots", _frozen(roots))
 
     @property
     def dim(self) -> int:
@@ -259,30 +258,6 @@ class EtaSearchResult:
     trajectory: ShadowingTrajectory  # the fit at ``eta``, whose RMS acceleration is xi
 
 
-class _Workspace(threading.local):
-    """Grow-only scratch arrays of one thread's solves, kept between solves.
-
-    A solve's temporaries run to megabytes, which the allocator returns to
-    the system after each solve and faults in again on the next; kept, they
-    cost no page faults once the thread's largest solve has run. Each
-    thread has its own buffers, so solves in two threads do not share one.
-    """
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The named buffer viewed as ``shape``, uninitialized; grows it when too small."""
-        size = math.prod(shape)
-        buffer = self.buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = self.buffers[name] = np.empty(size)
-        return buffer[:size].reshape(shape)
-
-
-_WORKSPACE = _Workspace()
-
-
 def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
                        eta: float) -> np.ndarray:
     """Block rows of the stationarity system pinned at the final velocity.
@@ -330,124 +305,148 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     return rows
 
 
-def _sweep(rows: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve block-tridiagonal rows from ``_stationarity_rows`` by QR, refined once.
+def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
+    """Solve the pinned least-squares fit by Householder QR over panels of gaps, refined once.
 
-    Each panel stacks the carried, triangularized rows of the previous
-    panel on the next few row blocks; one Householder QR eliminates their
-    leading samples, keeps the final rows of R and carries the rest. Back
-    substitution then runs over the panels in reverse, as x = c - H x_after
-    per panel. Returns the (m, b, k) solution for every right-hand side,
-    and its derivative with respect to eta.
+    The fit minimizes sum_j |R_j (p_j - y_j)|^2 + sum_i 2 eta tau_i |a_i|^2, with
+    R_j^T R_j = W_j and v_n pinned, for d + 1 right-hand sides: the data with
+    v_n = 0, and zero data with v_n at each unit vector. A panel's unknowns are
+    its S accelerations and end state (p_e, v_e). With T_j the time from its start
+    to its sample j, p_j = p_e - (T_S - T_j) v_e + sum_{l >= j} (tau_l (T_l - T_j)
+    + tau_l^2 / 2) a_l, and its start velocity is v_e - sum_l tau_l a_l. One QR of
+    a panel's data and acceleration rows under the 2d rows carried on its start
+    state keeps S d rows for back substitution and carries 2d rows on (p_e, v_e);
+    sample n's data rows and the pin close the sweep. Back substitution steps each
+    panel's states back from its end one gap at a time, so the positions follow
+    the dynamics of the accelerations returned.
 
-    A second pass reuses the panels, the triangles and H: only its
-    right-hand sides are new. They are the first solution's residual (one
-    step of iterative refinement) and, for each column x of that
-    solution, -(dK/d eta) x. Eta enters the scaled coefficients K only as
-    2 eta I over each acceleration-stationarity row's scale, so these
-    columns solve for dx/d eta. The QR calls are repeated, which applies
-    each panel's orthogonal factor to the new columns. On affine data over
-    gaps spread across 3 to 5 decades the first pass keeps only 7 to 2
-    digits; the correction restores 10 or more.
-
-    Every array the sweep builds per solve comes from the calling thread's
-    ``_WORKSPACE``, which keeps the memory of that thread's largest solve;
-    the results are fresh arrays, so none aliases the workspace.
+    The second pass repeats the QR calls on 2k new right-hand sides: the first
+    solution's least-squares residual (one refinement step) and the rows
+    -sqrt(2 tau / eta) a, whose solution is the derivative in eta. Returns the
+    (m, d, k) positions, the (m - 1, d, k) accelerations, their derivatives in
+    eta, and the data column's misfit y - p, summed from the refinement's parts
+    so it keeps the digits that p loses to rounding at its own scale.
     """
-    m, b, width = rows.shape
-    d, k = b // 5, width - 3 * b
-    s = max(1, round(PANEL_ROWS / b))  # row blocks per panel
-    panels = -(-(m - 1) // s)
-    padded = 1 + panels * s
-    sb, cols = s * b, (s + 2) * b
-    # Panel g holds b carried rows over row blocks g s + 1 ... g s + s, in
-    # the columns of samples g s ... g s + s + 1, then the right-hand sides:
-    # k in the first pass, 2 k in the second.
-    ws = _WORKSPACE
-    work = ws.take("work", (panels + 1, sb + b, cols + 2 * k))
-    work.fill(0.0)
-    for t in range(s):
-        blocks = rows[1 + t::s, :, :3 * b]
-        work[:len(blocks), (t + 1) * b:(t + 2) * b, t * b:(t + 3) * b] = blocks
-    work[0, :b, :2 * b] = rows[0, :, b:3 * b]
-    # Row blocks m ... padded - 1 pad the last panel: decoupled identities
-    # with zero right-hand side.
-    for i in range(m, padded):
-        g, t = divmod(i - 1, s)
-        work[g, (t + 1) * b:(t + 2) * b, (t + 1) * b:(t + 2) * b] = np.eye(b)
+    m, d = values.shape
+    n, k = m - 1, d + 1
+    s = max(1, round(PANEL_WIDTH / d))  # gaps per panel
+    panels = -(-n // s)
+    sd, cols = s * d, (s + 2) * d
 
-    def set_rhs(rhs: np.ndarray) -> None:
-        full = ws.take("full", (padded,) + rhs.shape[1:])
-        full[:m] = rhs
-        full[m:] = 0.0
-        work[:-1, b:, cols:cols + rhs.shape[2]] = full[1:].reshape(panels, sb, -1)
-        work[0, :b, cols:cols + rhs.shape[2]] = full[0]
+    def padded(x: np.ndarray) -> np.ndarray:  # rows 0 ... n-1 of x as (panels, s, ...)
+        out = np.zeros((panels * s,) + x.shape[1:])
+        out[:n] = x[:n]
+        return out.reshape((panels, s) + x.shape[1:])
 
-    set_rhs(rows[:, :, 3 * b:])
-    upper = np.triu(np.ones((b, b)))
-    done = ws.take("done", (panels, sb, cols + k))
+    # The last panel is padded with gaps of zero length and zero information.
+    tau = padded(taus)
+    ahead = np.triu(np.broadcast_to(tau[:, None, :], (panels, s, s)))  # tau_l, l >= j
+    span = np.cumsum(ahead, axis=2)  # T_{l+1} - T_j, summed from j
+    # p_j on (a_0 ... a_{s-1}, p_e, v_e), then the start velocity v_0 on the same.
+    coef = np.zeros((panels, s + 1, s + 2))
+    coef[:, :s, :s] = ahead * (span - 0.5 * ahead)
+    coef[:, :s, s] = coef[:, s, s + 1] = 1.0
+    coef[:, :s, s + 1] = -span[:, :, -1]
+    coef[:, s, :s] = -tau
+    start = (coef[:, [0, s], None, :, None] * np.eye(d)[:, None, :]).reshape(panels, 2 * d, cols)
+    weight = padded(np.repeat(np.sqrt(2.0 * eta * taus)[:, None], d, axis=1))
+    weight.reshape(-1, d)[n:] = 1.0  # unit rows on the padding gaps, so a = 0 there
+    root = padded(roots)
+    # Panel g: 2d carried rows, then per gap j the data rows of sample j and
+    # the acceleration rows of gap j, so each reflector ends at its own gap.
+    work = np.zeros((panels, 2 * d + 2 * sd, cols + 2 * k))
+    rows = work[:, 2 * d:].reshape(panels, s, 2, d, cols + 2 * k)
+    data, accel = rows[:, :, 0], rows[:, :, 1]
+    data[..., :cols] = (coef[:, :s, None, :, None] * root[..., None, :]).reshape(
+        panels, s, d, cols)
+    accel[..., :sd] = weight[..., None] * np.eye(sd).reshape(s, d, sd)
+    data[..., cols] = (root @ padded(values)[..., None])[..., 0]
+
+    # LAPACK's raw layout holds R transposed; entries below its diagonal are
+    # reflectors, masked off in the carried rows.
+    upper = np.triu(np.ones((2 * d, 2 * d + k)))
+    kept = np.empty((panels, sd, cols + k))
+    carry = np.zeros((2 * d, 2 * d + k))
     for g in range(panels):
-        # LAPACK's raw layout holds R transposed; entries below its
-        # diagonal are reflectors, masked off in the carried rows.
-        r = np.linalg.qr(work[g, :, :cols + k], mode="raw")[0].T
-        done[g] = r[:sb]
-        carry = work[g + 1, :b]
-        np.multiply(r[sb:, sb:sb + b], upper, out=carry[:, :b])
-        carry[:, b:2 * b] = r[sb:, sb + b:cols]
-        carry[:, cols:cols + k] = r[sb:, cols:]
-    last = work[panels, :b, :b]
-    pivots = np.abs(np.concatenate([np.diagonal(done[:, :, :sb], axis1=1, axis2=2).ravel(),
-                                    np.diagonal(last)]))
-    _require_nonsingular(pivots.min(), pivots.max())
-    tri = done[:, :, :sb]
-    solved = _back_substitute(tri, done[:, :, sb:], ws.take("solved", (panels, sb, 2 * b + k)))
-    H = solved[:, :, :2 * b]
+        panel = work[g, :, :cols + k]
+        np.matmul(carry[:, :2 * d], start[g], out=panel[:2 * d, :cols])
+        panel[:2 * d, cols:] = carry[:, 2 * d:]
+        r = np.linalg.qr(panel, mode="raw")[0].T
+        kept[g] = r[:sd]
+        carry = r[sd:sd + 2 * d, sd:] * upper
+    state = carry[:, :2 * d]
 
-    def substitute(c: np.ndarray, name: str) -> np.ndarray:
-        x = ws.take(name, (padded + 1, b, c.shape[2]))
-        x[padded] = 0.0
-        x[padded - 1] = np.linalg.solve(last, work[panels, :b, cols:cols + c.shape[2]])
+    def close(rhs: np.ndarray, data_rhs: np.ndarray) -> np.ndarray:
+        """p_n from the carried rows, with v_n substituted, over sample n's data rows."""
+        r = np.linalg.qr(np.block([[state[:, :d], rhs], [roots[n], data_rhs]]), mode="r")
+        _require_nonsingular(*_pivot_range(np.array([np.inf, 0.0]), np.diagonal(r[:, :d])))
+        return np.linalg.solve(r[:d, :d], r[:d, d:])
+
+    tri = kept[:, :, :sd]
+    solved = _back_substitute(tri, kept[:, :, sd:])
+    H = solved[:, :, :2 * d]
+
+    # Each panel's gaps, last first, as (panels, s, 1, 1).
+    last_first = tau[:, ::-1, None, None]
+    halves = 0.5 * last_first * last_first
+
+    def walk_back(g, a_back: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities at samples s ... 0 of panels g from their end states and
+        accelerations a_back, last gap first: each step back uses its gap's end velocity."""
+        t = last_first[g]
+        v = np.add.accumulate(np.concatenate([end[..., None, d:, :], -t * a_back], axis=-3), -3)
+        steps = halves[g] * a_back - t * v[..., :-1, :, :]
+        return np.add.accumulate(np.concatenate([end[..., None, :d, :], steps], axis=-3), -3), v
+
+    def substitute(c: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and accelerations from a = c - H (p_e, v_e), panel by panel in reverse."""
+        q = c.shape[2]
+        a = np.empty((panels, s, d, q))
+        ends = np.empty((panels, 2 * d, q))
+        ends[-1] = end
         for g in range(panels - 1, -1, -1):
-            j = g * s
-            after = x[j + s:j + s + 2].reshape(2 * b, -1)
-            x[j:j + s] = (c[g] - H[g] @ after).reshape(s, b, -1)
-        return x[:m]
+            a[g] = (c[g] - H[g] @ ends[g]).reshape(s, d, q)
+            if g:
+                p, v = walk_back(g, a[g, ::-1], ends[g])
+                ends[g - 1, :d], ends[g - 1, d:] = p[-1], v[-1]
+        p = walk_back(slice(None), a[:, ::-1], ends)[0][:, :0:-1]
+        return (np.concatenate([p.reshape(panels * s, d, q)[:n], end[None, :d]]),
+                a.reshape(panels * s, d, q)[:n])
 
-    x = substitute(solved[:, :, 2 * b:], "x")
-    rhs = ws.take("rhs", (m, b, 2 * k))
-    rhs[:, :, :k] = rows[:, :, 3 * b:] - _block_product(rows, x)
-    rhs[:, :, k:] = 0.0
-    # d(K x)/d eta on each acceleration-stationarity row is its a coefficient over eta.
-    scaled = np.diagonal(rows[:-1, 2 * d:3 * d, b + 2 * d:b + 3 * d], axis1=1, axis2=2)
-    rhs[:-1, 2 * d:3 * d, k:] = -(scaled / eta)[:, :, None] * x[:-1, 2 * d:3 * d]
-    set_rhs(rhs)
-    ends = ws.take("ends", (panels, sb, 2 * k))
+    pin = np.concatenate([np.zeros((d, 1)), np.eye(d)], axis=1)  # v_n of each right-hand side
+    p_n = close(carry[:, 2 * d:] - state[:, d:] @ pin,
+                np.concatenate([roots[n] @ values[n, :, None], np.zeros((d, d))], axis=1))
+    p, a = substitute(solved[:, :, 2 * d:], np.concatenate([p_n, pin]))
+    misfit = -p
+    misfit[:, :, 0] += values
+    residual = roots @ misfit
+    data[..., cols:cols + k] = padded(residual)
+    data[..., cols + k:] = 0.0
+    accel[..., cols:cols + k] = -padded(a) * weight[..., None]
+    accel[..., cols + k:] = accel[..., cols:cols + k] / eta
+    kept = np.empty((panels, sd, 2 * k))
+    carry = np.zeros((2 * d, 2 * k))
     for g in range(panels):
-        r = np.linalg.qr(work[g], mode="raw")[0].T
-        ends[g] = r[:sb, cols:]
-        work[g + 1, :b, cols:] = r[sb:, cols:]
-    step = substitute(_back_substitute(tri, ends, ws.take("refined", ends.shape)), "step")
-    x = x + step[:, :, :k]
-    if not np.all(np.isfinite(x)):
+        panel = work[g]
+        panel[:2 * d, cols:] = carry
+        r = np.linalg.qr(panel, mode="raw")[0].T
+        kept[g] = r[:sd, cols:]
+        carry = r[sd:sd + 2 * d, cols:]
+    p_n = close(carry, np.concatenate([residual[n], np.zeros((d, k))], axis=1))
+    dp, da = substitute(_back_substitute(tri, kept), np.concatenate([p_n, np.zeros((d, 2 * k))]))
+    p, a = p + dp[:, :, :k], a + da[:, :, :k]
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
         raise SingularSystem("stationarity solve produced non-finite values")
-    return x, step[:, :, k:].copy()
+    return p, a, dp[:, :, k:], da[:, :, k:], misfit[:, :, 0] - dp[:, :, 0]
 
 
-def _back_substitute(tri: np.ndarray, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Solve a stack of upper-triangular systems, row by row, into ``out``."""
+def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a stack of upper-triangular systems, row by row."""
+    out = np.empty(rhs.shape)
     for r in range(tri.shape[1] - 1, -1, -1):
         dot = (tri[:, r:r + 1, r + 1:] @ out[:, r + 1:])[:, 0]
         out[:, r] = (rhs[:, r] - dot) / tri[:, r, r, None]
     return out
-
-
-def _block_product(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The coefficient blocks of ``rows`` applied to x, (m, b, k)."""
-    b = rows.shape[1]
-    edge = np.zeros((1,) + x.shape[1:])
-    padded = np.concatenate([edge, x, edge])
-    return (rows[:, :, :b] @ padded[:-2] + rows[:, :, b:2 * b] @ padded[1:-1]
-            + rows[:, :, 2 * b:3 * b] @ padded[2:])
 
 
 def _master_residual(taus, values, infos, eta, p) -> float:
@@ -481,35 +480,33 @@ def _rescaled(f, degree: int, *arrays: np.ndarray) -> float:
     return value
 
 
-def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, eta: float,
-           time_reversed: bool) -> ShadowingTrajectory:
-    """Solve the master system for (m, d) values with (m, d, d) informations.
+def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, roots: np.ndarray,
+           eta: float, time_reversed: bool) -> ShadowingTrajectory:
+    """Solve the master system for (m, d) values with (m, d, d) informations and their roots.
 
-    The structured sweep gives the particular solution x0 and null
-    directions Z of the pinned stationarity system; the coefficients alpha
-    of x0 + Z alpha minimize the information-weighted squared residual of
-    the positions to the observations. Velocities are recovered in the
-    original frame.
+    The sweep gives the particular solution x0 and null directions Z of
+    the pinned fit; the coefficients alpha of x0 + Z alpha minimize the
+    information-weighted squared residual of the positions to the
+    observations, read from the sweep's misfit of x0. Velocities are
+    recovered in the original frame.
     """
-    d = values.shape[1]
     taus = grid.taus
     if time_reversed:
         # Mirrored time has the same gaps in reverse order.
-        taus, values, infos = taus[::-1], values[::-1], infos[::-1]
-    x, dx = _sweep(_stationarity_rows(taus, values, infos, eta), eta)
-    p0, z = x[:, :d, 0], x[:, :d, 1:]
+        taus, values, infos, roots = taus[::-1], values[::-1], infos[::-1], roots[::-1]
+    x, acc, dx, dacc, misfit = _sweep(taus, values, roots, eta)
+    p0, z = x[:, :, 0], x[:, :, 1:]
     wz = np.einsum("jab,jbc->jac", infos, z)
     gram = np.einsum("jac,jad->cd", z, wz)
-    beta = np.einsum("jac,ja->c", wz, values - p0)
+    beta = np.einsum("jac,ja->c", wz, misfit)
     alpha = np.linalg.lstsq(gram, beta, rcond=None)[0]
     p = p0 + z @ alpha
-    acc, dacc = x[:-1, 2 * d:3 * d], dx[:-1, 2 * d:3 * d]
     a = acc[:, :, 0] + acc[:, :, 1:] @ alpha
     # d alpha / d eta from gram alpha = beta, then da / d eta.
-    dz = dx[:, :d, 1:]
+    dz = dx[:, :, 1:]
     dgram = np.einsum("jac,jad->cd", dz, wz)
-    dbeta = (np.einsum("jac,jab,jb->c", dz, infos, values - p0)
-             - np.einsum("jac,ja->c", wz, dx[:, :d, 0]))
+    dbeta = (np.einsum("jac,jab,jb->c", dz, infos, misfit)
+             - np.einsum("jac,ja->c", wz, dx[:, :, 0]))
     dalpha = np.linalg.lstsq(gram, dbeta - (dgram + dgram.T) @ alpha, rcond=None)[0]
     da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
     t = taus[:, None]
@@ -539,7 +536,7 @@ class _IncrementalSolve:
     block N-1 is final once sample N has arrived, as only then does it
     couple to sample N's lambda and mu; one QR of it under the carry
     eliminates sample N-2. Row blocks come from ``_stationarity_rows`` on
-    three-sample slices, so the equations are the batch solve's, and only
+    three-sample slices, the stationarity conditions of the batch fit; only
     a chain's first block, its pin, is its own: all chains advance with one
     stacked QR and solve per sample. Full history keeps one chain, pinned
     at sample 0. A sliding solve pins one at every sample once two more
@@ -636,6 +633,8 @@ class _IncrementalSolve:
         misfit[b:b + d, 0] -= y2
         residuals = np.concatenate([self._residual[0] @ np.concatenate([S, np.eye(d + 1)]),
                                     root1 @ misfit[:d], root2 @ misfit[b:b + d]])
+        if not np.all(np.isfinite(residuals)):
+            raise SingularSystem("stationarity solve produced non-finite values")
         alpha = np.linalg.lstsq(residuals[:, 1:], -residuals[:, 0], rcond=None)[0]
         x = S[:, 0] + S[:, 1:] @ alpha
         if not np.all(np.isfinite(x)):
@@ -681,7 +680,7 @@ def solve_scalar(obs: ScalarObservationSeries, eta: float,
     """
     eta = _require_positive_eta(eta)
     traj = _solve(obs.grid, obs.values[:, None], obs.weights[:, None, None],
-                  eta, time_reversed)
+                  np.sqrt(obs.weights)[:, None, None], eta, time_reversed)
     return replace(traj, positions=traj.positions[:, 0],
                    velocities=traj.velocities[:, 0],
                    accelerations=traj.accelerations[:, 0])
@@ -698,7 +697,7 @@ def solve_vector(obs: VectorObservationSeries, eta: float,
     scalar fits, and with d = 1 it is exactly ``solve_scalar``.
     """
     eta = _require_positive_eta(eta)
-    return _solve(obs.grid, obs.values, obs.informations, eta, time_reversed)
+    return _solve(obs.grid, obs.values, obs.informations, obs.roots, eta, time_reversed)
 
 
 def rms_acceleration(traj: ShadowingTrajectory) -> float:

@@ -1,5 +1,6 @@
 """Structured-operator construction and identity checks."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from shadowtrack import (
     build_time_grid,
     verify_identities,
 )
+from shadowtrack.matrices import _symmetrized
 
 
 def random_grid(rng, n, lo=0.5, hi=4.0):
@@ -126,3 +128,15 @@ class TestImmutability:
             arr = getattr(fm, name)
             with pytest.raises(ValueError):
                 arr[0, 0] = 99.0
+
+
+class TestSymmetrized:
+    def test_information_near_the_float_range_raises_no_warning(self):
+        """W is halved before W^T is added, so entries past 9e307 do not overflow."""
+        infos = np.diag([1e308, 1e308])[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sym, roots = _symmetrized(infos)
+        assert np.array_equal(sym, infos)
+        gram = roots[0].T @ roots[0]
+        assert np.abs(gram - infos[0]).max() <= 1e-15 * 1e308
