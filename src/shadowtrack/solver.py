@@ -51,6 +51,7 @@ included, is kept as an oracle for tests and diagnostics.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -305,6 +306,19 @@ def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
     return rows
 
 
+_BUFFERS = threading.local()
+
+
+def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's grow-only scratch array ``name`` as ``shape``, uninitialized. Kept between
+    solves: made afresh, a solve's megabytes of panel stacks fault their pages in again
+    whenever the allocator has returned them to the system, which depends on earlier work."""
+    size = math.prod(shape)
+    if getattr(_BUFFERS, name, np.empty(0)).size < size:
+        setattr(_BUFFERS, name, np.empty(size))
+    return getattr(_BUFFERS, name)[:size].reshape(shape)
+
+
 def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     """Solve the pinned least-squares fit by Householder QR over panels of gaps, refined once.
 
@@ -340,13 +354,16 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
 
     # The last panel is padded with gaps of zero length and zero information.
     tau = padded(taus)
-    ahead = np.triu(np.broadcast_to(tau[:, None, :], (panels, s, s)))  # tau_l, l >= j
-    span = np.cumsum(ahead, axis=2)  # T_{l+1} - T_j, summed from j
+    # tau_l for l >= j, and their sums T_{l+1} - T_j from j.
+    ahead = np.multiply(tau[:, None, :], np.tri(s).T, out=_buffer("ahead", (panels, s, s)))
+    span = np.cumsum(ahead, axis=2, out=_buffer("span", (panels, s, s)))
     # p_j on (a_0 ... a_{s-1}, p_e, v_e), then the start velocity v_0 on the same.
-    coef = np.zeros((panels, s + 1, s + 2))
-    coef[:, :s, :s] = ahead * (span - 0.5 * ahead)
-    coef[:, :s, s] = coef[:, s, s + 1] = 1.0
+    coef = _buffer("coef", (panels, s + 1, s + 2))
+    coef[:, s, s] = 0.0  # v_0 does not depend on p_e; the rest is written below
     coef[:, :s, s + 1] = -span[:, :, -1]
+    np.subtract(span, np.multiply(ahead, 0.5, out=coef[:, :s, :s]), out=span)
+    np.multiply(ahead, span, out=coef[:, :s, :s])
+    coef[:, :s, s] = coef[:, s, s + 1] = 1.0
     coef[:, s, :s] = -tau
     start = (coef[:, [0, s], None, :, None] * np.eye(d)[:, None, :]).reshape(panels, 2 * d, cols)
     weight = padded(np.repeat(np.sqrt(2.0 * eta * taus)[:, None], d, axis=1))
@@ -354,18 +371,19 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     root = padded(roots)
     # Panel g: 2d carried rows, then per gap j the data rows of sample j and
     # the acceleration rows of gap j, so each reflector ends at its own gap.
-    work = np.zeros((panels, 2 * d + 2 * sd, cols + 2 * k))
+    work = _buffer("work", (panels, 2 * d + 2 * sd, cols + 2 * k))
+    work.fill(0.0)
     rows = work[:, 2 * d:].reshape(panels, s, 2, d, cols + 2 * k)
     data, accel = rows[:, :, 0], rows[:, :, 1]
-    data[..., :cols] = (coef[:, :s, None, :, None] * root[..., None, :]).reshape(
-        panels, s, d, cols)
-    accel[..., :sd] = weight[..., None] * np.eye(sd).reshape(s, d, sd)
+    np.multiply(coef[:, :s, None, :, None], root[..., None, :],
+                out=data[..., :cols].reshape(panels, s, d, s + 2, d))
+    np.multiply(weight[..., None], np.eye(sd).reshape(s, d, sd), out=accel[..., :sd])
     data[..., cols] = (root @ padded(values)[..., None])[..., 0]
 
     # LAPACK's raw layout holds R transposed; entries below its diagonal are
     # reflectors, masked off in the carried rows.
     upper = np.triu(np.ones((2 * d, 2 * d + k)))
-    kept = np.empty((panels, sd, cols + k))
+    kept = _buffer("kept", (panels, sd, cols + k))
     carry = np.zeros((2 * d, 2 * d + k))
     for g in range(panels):
         panel = work[g, :, :cols + k]

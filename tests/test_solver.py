@@ -572,6 +572,17 @@ class TestSweepResults:
             assert before.tobytes() == repeat.tobytes()
             assert not any(np.shares_memory(before, part) for part in again)
 
+    def test_results_ignore_stale_buffer_contents(self):
+        rng = np.random.default_rng(47)
+        for m, dim in ((97, 1), (41, 2), (30, 3)):
+            obs = random_vector_series(rng, m, dim)
+            clean = sweep_of(obs.grid.taus, obs.values, obs.informations, 3.0)
+            for buffer in vars(solver._BUFFERS).values():
+                buffer.fill(np.nan)
+            stale = sweep_of(obs.grid.taus, obs.values, obs.informations, 3.0)
+            for before, after in zip(clean, stale):
+                assert before.tobytes() == after.tobytes()
+
     def test_concurrent_solves_match_sequential_ones(self):
         rng = np.random.default_rng(43)
         series = [random_vector_series(rng, m, dim)
