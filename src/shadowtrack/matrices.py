@@ -199,8 +199,8 @@ class FilterMatrices:
     a_bar entry and the identity by the b_bar entry. ``accel_core``
     recovers interval accelerations from the weighted residuals of a
     solved trajectory. The solver never forms these dense blocks; it
-    solves the equivalent block-tridiagonal stationarity system, and
-    tests check it against them.
+    solves the equivalent least squares over positions, velocities and
+    accelerations, and tests check it against them.
     """
 
     grid: TimeGrid

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -182,7 +181,8 @@ class VectorObservationSeries:
         if not np.all(np.isfinite(infos)):
             raise DataError("information matrices must be finite")
         sym, roots = _symmetrized(infos)
-        usable = int(np.count_nonzero(np.trace(sym, axis1=1, axis2=2) > 0.0))
+        # A positive semidefinite matrix is nonzero iff a diagonal entry is positive.
+        usable = int(np.count_nonzero(np.any(np.diagonal(sym, axis1=1, axis2=2) > 0.0, axis=1)))
         if usable < MIN_EFFECTIVE_SAMPLES:
             raise DegenerateWeights(
                 f"need at least {MIN_EFFECTIVE_SAMPLES} samples with nonzero "
@@ -259,53 +259,6 @@ class EtaSearchResult:
     trajectory: ShadowingTrajectory  # the fit at ``eta``, whose RMS acceleration is xi
 
 
-def _stationarity_rows(taus: np.ndarray, values: np.ndarray, infos: np.ndarray,
-                       eta: float) -> np.ndarray:
-    """Block rows of the stationarity system pinned at the final velocity.
-
-    Sample i owns 5d unknowns x_i = (p_i, v_i, a_i, lambda_i, mu_i), each a
-    d-vector, and 5d equations: the stationarity of p_i, v_i and a_i, then
-    the position and velocity updates over gap i. The final sample has no
-    gap; its rows pin v_n to the right-hand side and set the padding
-    unknowns a_n, lambda_n and mu_n to zero. Row block i couples x_{i-1},
-    x_i and x_{i+1}, so the result has shape (m, 5d, 15d + d + 1): the three
-    coefficient blocks, then d + 1 right-hand sides (the data with the pin
-    at zero, and zero data with the pin at each unit vector). Each row is
-    scaled to unit largest coefficient.
-    """
-    m, d = values.shape
-    eye = np.eye(d)
-    tau = taus[:, None, None] * eye
-    P, V, A, LAM, MU = range(5)
-    b = 5 * d
-    rows = np.zeros((m, b, 3 * b + d + 1))
-    # The coefficient blocks viewed as [sample, equation, coupled sample
-    # (previous, own, next), unknown, row, column].
-    K = rows[:, :, :3 * b].reshape(m, 5, d, 3, 5, d).transpose(0, 1, 3, 4, 2, 5)
-    K[:, 0, 1, P] = infos
-    K[1:, 0, 0, LAM] = eye
-    K[:-1, 0, 1, LAM] = -eye
-    K[1:-1, 1, 0, MU] = eye
-    K[:-1, 1, 1, MU] = -eye
-    K[:-1, 1, 1, LAM] = -tau
-    K[:-1, 2, 1, A] = 2.0 * eta * eye
-    K[:-1, 2, 1, LAM] = -0.5 * tau
-    K[:-1, 2, 1, MU] = -eye
-    K[:-1, 3, 2, P] = eye
-    K[:-1, 3, 1, P] = -eye
-    K[:-1, 3, 1, V] = -tau
-    K[:-1, 3, 1, A] = -0.5 * taus[:, None, None] * tau
-    K[:-1, 4, 2, V] = eye
-    K[:-1, 4, 1, V] = -eye
-    K[:-1, 4, 1, A] = -tau
-    for eq, unknown in ((1, V), (2, A), (3, LAM), (4, MU)):
-        K[-1, eq, 1, unknown] = eye
-    rows[:, :d, 3 * b] = np.einsum("jab,jb->ja", infos, values)
-    rows[-1, d:2 * d, 3 * b + 1:] = eye
-    rows /= np.abs(rows[:, :, :3 * b]).max(axis=2)[:, :, None]
-    return rows
-
-
 _BUFFERS = threading.local()
 
 
@@ -319,15 +272,49 @@ def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return getattr(_BUFFERS, name)[:size].reshape(shape)
 
 
+def _acceleration_weights(eta: float, taus: np.ndarray) -> np.ndarray:
+    """sqrt(2 eta tau) for each gap, the weight of its acceleration rows; SingularSystem
+    where one is past the float range."""
+    with np.errstate(over="ignore"):
+        weights = np.sqrt(2.0 * eta * taus)
+    if not np.all(np.isfinite(weights)):
+        raise SingularSystem(f"acceleration weight sqrt(2 eta tau) overflows at eta {eta:g}")
+    return weights
+
+
+def _panel_maps(tau: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exact dynamics of panels of gaps tau (panels, s) of d-vectors.
+
+    A panel's unknowns are its accelerations and end state, (a_0 ... a_{s-1}, p_e, v_e).
+    With T_j the time from its start to its sample j, p_j = p_e - (T_S - T_j) v_e +
+    sum_{l >= j} (tau_l (T_l - T_j) + tau_l^2 / 2) a_l, and its start velocity is
+    v_e - sum_l tau_l a_l. Returns ``coef`` (panels, s + 1, s + 2), the scalar
+    coefficients of p_0 ... p_{s-1} and v_0 on the unknowns, which is this thread's
+    scratch until the next call, and ``start`` (panels, 2d, (s + 2) d), the start state
+    (p_0, v_0) on the unknowns as d-vectors.
+    """
+    panels, s = tau.shape
+    # tau_l for l >= j, and their sums T_{l+1} - T_j from j.
+    ahead = np.multiply(tau[:, None, :], np.tri(s).T, out=_buffer("ahead", (panels, s, s)))
+    span = np.cumsum(ahead, axis=2, out=_buffer("span", (panels, s, s)))
+    coef = _buffer("coef", (panels, s + 1, s + 2))
+    coef[:, s, s] = 0.0  # v_0 does not depend on p_e; the rest is written below
+    coef[:, :s, s + 1] = -span[:, :, -1]
+    np.subtract(span, np.multiply(ahead, 0.5, out=coef[:, :s, :s]), out=span)
+    np.multiply(ahead, span, out=coef[:, :s, :s])
+    coef[:, :s, s] = coef[:, s, s + 1] = 1.0
+    coef[:, s, :s] = -tau
+    start = (coef[:, [0, s], None, :, None] * np.eye(d)[:, None, :]).reshape(panels, 2 * d, -1)
+    return coef, start
+
+
 def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     """Solve the pinned least-squares fit by Householder QR over panels of gaps, refined once.
 
     The fit minimizes sum_j |R_j (p_j - y_j)|^2 + sum_i 2 eta tau_i |a_i|^2, with
     R_j^T R_j = W_j and v_n pinned, for d + 1 right-hand sides: the data with
     v_n = 0, and zero data with v_n at each unit vector. A panel's unknowns are
-    its S accelerations and end state (p_e, v_e). With T_j the time from its start
-    to its sample j, p_j = p_e - (T_S - T_j) v_e + sum_{l >= j} (tau_l (T_l - T_j)
-    + tau_l^2 / 2) a_l, and its start velocity is v_e - sum_l tau_l a_l. One QR of
+    its S accelerations and end state (p_e, v_e), as in ``_panel_maps``. One QR of
     a panel's data and acceleration rows under the 2d rows carried on its start
     state keeps S d rows for back substitution and carries 2d rows on (p_e, v_e);
     sample n's data rows and the pin close the sweep. Back substitution steps each
@@ -354,19 +341,8 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
 
     # The last panel is padded with gaps of zero length and zero information.
     tau = padded(taus)
-    # tau_l for l >= j, and their sums T_{l+1} - T_j from j.
-    ahead = np.multiply(tau[:, None, :], np.tri(s).T, out=_buffer("ahead", (panels, s, s)))
-    span = np.cumsum(ahead, axis=2, out=_buffer("span", (panels, s, s)))
-    # p_j on (a_0 ... a_{s-1}, p_e, v_e), then the start velocity v_0 on the same.
-    coef = _buffer("coef", (panels, s + 1, s + 2))
-    coef[:, s, s] = 0.0  # v_0 does not depend on p_e; the rest is written below
-    coef[:, :s, s + 1] = -span[:, :, -1]
-    np.subtract(span, np.multiply(ahead, 0.5, out=coef[:, :s, :s]), out=span)
-    np.multiply(ahead, span, out=coef[:, :s, :s])
-    coef[:, :s, s] = coef[:, s, s + 1] = 1.0
-    coef[:, s, :s] = -tau
-    start = (coef[:, [0, s], None, :, None] * np.eye(d)[:, None, :]).reshape(panels, 2 * d, cols)
-    weight = padded(np.repeat(np.sqrt(2.0 * eta * taus)[:, None], d, axis=1))
+    coef, start = _panel_maps(tau, d)
+    weight = padded(np.repeat(_acceleration_weights(eta, taus)[:, None], d, axis=1))
     weight.reshape(-1, d)[n:] = 1.0  # unit rows on the padding gaps, so a = 0 there
     root = padded(roots)
     # Panel g: 2d carried rows, then per gap j the data rows of sample j and
@@ -397,7 +373,7 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     def close(rhs: np.ndarray, data_rhs: np.ndarray) -> np.ndarray:
         """p_n from the carried rows, with v_n substituted, over sample n's data rows."""
         r = np.linalg.qr(np.block([[state[:, :d], rhs], [roots[n], data_rhs]]), mode="r")
-        _require_nonsingular(*_pivot_range(np.array([np.inf, 0.0]), np.diagonal(r[:, :d])))
+        _require_nonsingular(np.diagonal(r[:, :d]))
         return np.linalg.solve(r[:d, :d], r[:d, d:])
 
     tri = kept[:, :, :sd]
@@ -472,17 +448,22 @@ def _master_residual(taus, values, infos, eta, p) -> float:
 
     a_bar W (p - obs) stacks 0.25 G core u on the sum of u = W (p - obs),
     and the core's running sums are cumulative sums; b_bar p is the
-    three-point junction stencil.
+    three-point junction stencil. Where a product passes the float range, the
+    positions and data are rescaled; a norm past it still is inf.
     """
-    u = np.einsum("jab,jb->ja", infos, p - values)
     t = taus[:, None]
-    run = -np.cumsum(u, axis=0)[:-1]
-    core = 0.5 * t * run - np.cumsum(t * run, axis=0)
-    gap = t[:-1] * t[1:] * (t[:-1] * core[:-1] + t[1:] * core[1:])
-    junction = t[1:] * p[:-2] - (t[:-1] + t[1:]) * p[1:-1] + t[:-1] * p[2:]
-    rows = 0.25 * gap + eta * junction
-    return _rescaled(lambda rows, ends: float(np.sqrt(np.sum(rows ** 2) + np.sum(ends ** 2))),
-                     1, rows, u.sum(axis=0))
+
+    def norm(p: np.ndarray, values: np.ndarray) -> float:
+        u = np.einsum("jab,jb->ja", infos, p - values)
+        run = -np.cumsum(u, axis=0)[:-1]
+        core = 0.5 * t * run - np.cumsum(t * run, axis=0)
+        gap = t[:-1] * t[1:] * (t[:-1] * core[:-1] + t[1:] * core[1:])
+        junction = t[1:] * p[:-2] - (t[:-1] + t[1:]) * p[1:-1] + t[:-1] * p[2:]
+        return _rescaled(lambda rows, ends: float(np.sqrt(np.sum(rows ** 2) + np.sum(ends ** 2))),
+                         1, 0.25 * gap + eta * junction, u.sum(axis=0))
+
+    value = _rescaled(norm, 1, p, values)
+    return math.inf if math.isnan(value) else value
 
 
 def _rescaled(f, degree: int, *arrays: np.ndarray) -> float:
@@ -546,138 +527,130 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, roots: np.ndar
 class _IncrementalSolve:
     """The default (time-reversed) solve of a growing or sliding series, one sample at a time.
 
-    Number the samples 0 (oldest) to N (newest). A chain eliminates the
-    pinned system of ``_solve`` over samples j ... N from its pin at sample
-    j toward the newest, the square-root information form of the smoother:
-    the rows left after eliminating samples j ... N-2 (the carry) are b = 5d
-    triangularized equations in the unknowns of samples N-1 and N. Row
-    block N-1 is final once sample N has arrived, as only then does it
-    couple to sample N's lambda and mu; one QR of it under the carry
-    eliminates sample N-2. Row blocks come from ``_stationarity_rows`` on
-    three-sample slices, the stationarity conditions of the batch fit; only
-    a chain's first block, its pin, is its own: all chains advance with one
-    stacked QR and solve per sample. Full history keeps one chain, pinned
-    at sample 0. A sliding solve pins one at every sample once two more
-    have arrived, ``retire`` drops those pinned before the window, and the
+    Number the samples 0 (oldest) to N (newest). A chain solves the pinned
+    least squares of ``_sweep`` over samples j ... N with v_j pinned, in the
+    square-root information form of the smoother (Paige & Saunders, 1977;
+    Bierman, 1977). Its carry is 2d triangular rows on the newest state x_N
+    = (p_N, v_N), with the d + 1 right-hand sides of ``_sweep`` as columns.
+    Sample N + 1 puts the carry on the gap's acceleration and the new state
+    through the start-state map of ``_panel_maps``, and one QR of it over
+    the gap's acceleration rows sqrt(2 eta tau) a and the new sample's data
+    rows R p = R y eliminates the acceleration and leaves the next carry.
+    A chain pinned at sample N starts there: the pin v_N = [0 | I] is its
+    first gap's rows for the acceleration, and its other rows are cleared
+    of the acceleration by them, so the QR keeps the pin exact. All chains
+    advance with one stacked QR per sample. Full history keeps one chain,
+    pinned at sample 0. A sliding solve pins one at every sample as the
+    next arrives, ``retire`` drops those pinned before the window, and the
     window's state comes from the oldest chain left.
 
-    The eliminated unknowns are affine in the newest pair S = (x_{N-1},
-    x_N), with the d + 1 right-hand sides of ``_solve`` as columns, so the
-    residuals W^{1/2} [p0 - y | z] that choose alpha are rows on [S; I],
-    substituted after each elimination. Alpha solves their least squares:
+    Every sample's position is affine in x_N, so the residuals
+    R [p0 - y | z] that choose alpha are rows on [x_N; I], carried onto the
+    new state after each elimination. Alpha solves their least squares:
     a window's null directions can be 1e-7 of its positions, and normal
     equations then lost 1e-3 of alpha. With no refinement step, the newest
-    state agreed with ``_solve`` to 1e-9 of its scale over gaps spread on
-    four decades (1e-8 for noise at eta 1e-3, either side off), once the
-    carry is rescaled to unit largest coefficient each step (else 2e-6).
+    state agreed with ``_solve`` to 4e-10 of its scale over gaps spread on
+    four decades, and to 5.2e-9 for noise at eta 1e-3 in a window of 25. There
+    the fit's velocity near the pin reaches 1e4 times its scale, and the
+    rows of the samples beside the pin keep only the digits that leaves.
     """
 
     def __init__(self, dim: int, eta: float, sliding: bool):
         self.dim, self.eta, self.sliding = dim, eta, sliding
-        self._recent: deque = deque(maxlen=3)  # (time, value, W, W^{1/2}), oldest first
-        b, k = 5 * dim, dim + 1
+        self._latest: tuple | None = None  # (time, value, R) of sample N
+        s, k = 2 * dim, dim + 1
         # Per chain, oldest pin first: the pin's time, the carry, the residual
-        # rows of its samples up to N-2, its smallest and largest pivot.
+        # rows of samples up to N-1, and the last gap's acceleration as
+        # a = gap[:, s:] - gap[:, :s] x_N.
         self._pins = np.zeros(0)
-        self._carry = np.zeros((0, b, 2 * b + k))
-        self._residual = np.zeros((0, 2 * b + k, 2 * b + k))
-        self._pivots = np.zeros((0, 2))
-        self._newest_rows = np.zeros((b, 3 * b + k))
+        self._carry = np.zeros((0, s, s + k))
+        self._residual = np.zeros((0, 0, s + k))
+        self._gap = np.zeros((0, dim, s + k))
 
-    def append(self, time: float, value: np.ndarray, info: np.ndarray, root: np.ndarray) -> None:
-        """Add the newest sample: its information W and a root R with R^T R = W.
+    def append(self, time: float, value: np.ndarray, root: np.ndarray) -> None:
+        """Add the newest sample with a root R of its information W, R^T R = W.
 
-        A ``RawPositionEstimate`` carries both, checked; a zero W has a zero root.
+        A ``RawPositionEstimate`` carries its root, checked; a zero W has a zero root.
         """
-        self._recent.append((time, value, info, root))
-        if len(self._recent) < 3:
+        if self._latest is None:
+            self._latest = (time, value, root)
             return
-        d, b = self.dim, 5 * self.dim
-        (t0, y0, w0, root), (t1, y1, w1, _), (t2, y2, w2, _) = self._recent
-        rows = _stationarity_rows(np.array([t2 - t1, t1 - t0]), np.stack([y2, y1, y0]),
-                                  np.stack([w2, w1, w0]), self.eta)
-        # Newest sample first; coupled blocks in the order (older, own, newer).
-        blocks = rows[:, :, :3 * b].reshape(3, b, 3, b)[:, :, ::-1].reshape(3, b, 3 * b)
-        rows = np.concatenate([blocks, rows[:, :, 3 * b:]], axis=2)
-        if self.sliding or not self._pins.size:
-            # A chain pinned at sample N-2 starts from its pin block in (x_{N-2}, x_{N-1}).
+        d, k = self.dim, self.dim + 1
+        s = 2 * d
+        t0, y0, root0 = self._latest
+        weight = _acceleration_weights(self.eta, np.array([time - t0]))[0]
+        start = _panel_maps(np.array([[time - t0]]), d)[1][0]  # x_{N} on (a, x_{N+1})
+        self._latest = (time, value, root)
+        old = self._pins.size
+        if self.sliding or not old:
             self._pins = np.append(self._pins, t0)
-            self._carry = np.concatenate([self._carry, rows[None, 2, :, b:]])
-            self._residual = np.concatenate(
-                [self._residual, np.zeros((1, *self._residual.shape[1:]))])
-            self._pivots = np.concatenate([self._pivots, [[np.inf, 0.0]]])
         chains = self._pins.size
-        work = np.zeros((chains, 2 * b, rows.shape[2]))
-        work[:, :b, :2 * b] = self._carry[:, :, :2 * b]
-        work[:, :b, 3 * b:] = self._carry[:, :, 2 * b:]
-        work[:, b:] = rows[1]
+        # Per chain: 2d rows on (a, p, v) of sample N + 1 and the right-hand
+        # sides, then the gap's acceleration rows and the sample's data rows.
+        work = np.zeros((chains, 4 * d, 3 * d + k))
+        np.matmul(self._carry[:, :, :s], start, out=work[:old, :s, :3 * d])
+        work[:old, :s, 3 * d:] = self._carry[:, :, s:]
+        work[:, s:3 * d, :d] = weight * np.eye(d)
+        work[:, 3 * d:, d:s] = root
+        work[:, 3 * d:, 3 * d] = root @ value
+        if chains > old:
+            first = work[-1, :3 * d]
+            first[:d] = np.concatenate([start[d:], np.eye(d, k, 1)], axis=1)
+            first[d:s, :3 * d] = root0 @ start[:d]
+            first[d:s, 3 * d] = root0 @ y0
+            first[d:] -= first[d:, :d] @ np.linalg.solve(first[:d, :d], first[:d])
         r = np.linalg.qr(work, mode="r")
-        self._pivots = _pivot_range(self._pivots, np.diagonal(r[:, :b, :b], axis1=1, axis2=2))
-        # The pivot rows give x_{N-2} = solved[:, 2b:] - solved[:, :2b] @ S in
-        # the new pair S = (x_{N-1}, x_N); substituting it, and x_{N-1} = S[:b],
-        # puts the residual rows on [S; I].
-        solved = np.linalg.solve(r[:, :b, :b], r[:, :b, b:])
-        solved[:, :, :2 * b] *= -1.0
-        old = np.concatenate([self._residual, np.zeros((chains, d, solved.shape[2]))], axis=1)
-        old[:, -d:, :d], old[:, -d:, 2 * b] = root, -root @ y0  # sample N-2 on the old pair
-        residual = old[:, :, :b] @ solved
-        residual[:, :, :b] += old[:, :, b:2 * b]
-        residual[:, :, 2 * b:] += old[:, :, 2 * b:]
-        if residual.shape[1] > 2 * residual.shape[2]:  # a QR per chain, so not every step
-            residual = np.linalg.qr(residual, mode="r")
-        self._residual = residual
-        carry = r[:, b:, b:]
-        self._carry = carry / np.abs(carry[:, :, :2 * b]).max(axis=2)[:, :, None]
-        self._newest_rows = rows[0]
+        gap = np.linalg.solve(r[:, :d, :d], r[:, :d, d:])
+        # Sample N's residual rows on x_N (a new chain's first), then every
+        # row on [x_{N+1}; I]: x_N = start (a; x_{N+1}), a substituted.
+        residual = np.zeros((chains, self._residual.shape[1] + d, s + k))
+        residual[:old, :-d] = self._residual
+        residual[:, -d:, :d], residual[:, -d:, s] = root0, -root0 @ y0
+        prior = np.concatenate([start[:, d:] - start[:, :d] @ gap[:, :, :s],
+                                start[:, :d] @ gap[:, :, s:]], axis=2)
+        substituted = residual[:, :, :s] @ prior
+        substituted[:, :, s:] += residual[:, :, s:]
+        if substituted.shape[1] > 2 * substituted.shape[2]:  # a QR per chain, so not every step
+            substituted = np.linalg.qr(substituted, mode="r")
+        self._carry, self._residual, self._gap = r[:, d:3 * d, d:], substituted, gap
 
     def retire(self, before: float) -> None:
         """Drop the chains pinned at samples older than ``before``."""
         kept = slice(int(np.searchsorted(self._pins, before)), None)
-        self._pins, self._carry, self._residual, self._pivots = (
-            self._pins[kept], self._carry[kept], self._residual[kept], self._pivots[kept])
+        self._pins, self._carry, self._residual, self._gap = (
+            self._pins[kept], self._carry[kept], self._residual[kept], self._gap[kept])
 
     def newest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Position, velocity and last-gap acceleration at the newest sample, from the
-        oldest chain, whose own pivots must show a nonsingular system."""
-        d, b = self.dim, 5 * self.dim
-        _, (t1, y1, _, root1), (t2, y2, _, root2) = self._recent
-        pair = np.concatenate([self._carry[0], np.concatenate(
-            [self._newest_rows[:, :2 * b], self._newest_rows[:, 3 * b:]], axis=1)])
-        r = np.linalg.qr(pair, mode="r")
-        _require_nonsingular(*_pivot_range(self._pivots[0], np.diagonal(r[:, :2 * b])))
-        S = np.linalg.solve(r[:, :2 * b], r[:, 2 * b:])
-        misfit = S.copy()  # p0 - y | z of samples N-1 and N at rows :d and b:b+d
-        misfit[:d, 0] -= y1
-        misfit[b:b + d, 0] -= y2
-        residuals = np.concatenate([self._residual[0] @ np.concatenate([S, np.eye(d + 1)]),
-                                    root1 @ misfit[:d], root2 @ misfit[b:b + d]])
+        oldest chain, whose position pivots must show a nonsingular fit."""
+        d, k = self.dim, self.dim + 1
+        s = 2 * d
+        carry = self._carry[0]
+        _require_nonsingular(np.diagonal(carry)[:d])
+        x = np.linalg.solve(carry[:, :s], carry[:, s:])
+        _, value, root = self._latest
+        misfit = x[:d].copy()  # p0 - y | z of sample N
+        misfit[:, 0] -= value
+        residuals = np.concatenate([self._residual[0] @ np.concatenate([x, np.eye(k)]),
+                                    root @ misfit])
         if not np.all(np.isfinite(residuals)):
             raise SingularSystem("stationarity solve produced non-finite values")
         alpha = np.linalg.lstsq(residuals[:, 1:], -residuals[:, 0], rcond=None)[0]
-        x = S[:, 0] + S[:, 1:] @ alpha
-        if not np.all(np.isfinite(x)):
+        state = x[:, 0] + x[:, 1:] @ alpha
+        gap = self._gap[0]
+        a = gap[:, s] + gap[:, s + 1:] @ alpha - gap[:, :s] @ state
+        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(a))):
             raise SingularSystem("stationarity solve produced non-finite values")
-        p_prev, p, a = x[:d], x[b:b + d], x[b + 2 * d:b + 3 * d]
-        # The velocity making the last interval's quadratic hit both ends.
-        tau = t2 - t1
-        v = (p - p_prev) / tau - 0.5 * a * tau + a * tau
-        return p, v, a
+        return state[:d], state[d:], a
 
 
-def _pivot_range(extremes: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Smallest and largest magnitude over ``extremes`` (..., 2) and ``pivots``; NaN propagates."""
-    pivots = np.abs(pivots)
-    return np.stack([np.minimum(extremes[..., 0], pivots.min(axis=-1)),
-                     np.maximum(extremes[..., 1], pivots.max(axis=-1))], axis=-1)
-
-
-def _require_nonsingular(smallest: float, largest: float) -> None:
+def _require_nonsingular(pivots: np.ndarray) -> None:
     """Raise SingularSystem unless the pivots are finite and nonzero to working precision.
 
-    A NaN or infinite pivot must make ``largest`` non-finite. Solvable
-    systems kept their smallest pivot above 1e-13 of the largest on grids
-    spread over 7 decades.
+    A NaN or infinite pivot must make the largest non-finite.
     """
+    pivots = np.abs(pivots)
+    smallest, largest = pivots.min(), pivots.max()
     if not np.isfinite(largest):
         raise SingularSystem("stationarity system has a non-finite pivot")
     if not smallest > _EPS * largest:

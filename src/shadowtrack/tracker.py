@@ -3,11 +3,13 @@
 Each step appends one timestamped fix (or a gap marker), applies the
 configured missing-data policy, and emits the newest sample of the
 time-reversed smoothing solve, which leaves the scheme's approximation
-error at the oldest samples. That solve is eliminated one sample at a
-time and never re-solved: over the full history (the default) every fix
-costs constant work however long the stream runs, over a sliding window
-work in proportion to its length. Either way, ``trajectory`` is the batch
-solve of the window as of the last solved step, built when it is read.
+error at the oldest samples. That solve is the batch fit's least squares
+over positions, velocities and accelerations, eliminated one sample at a
+time in square-root information form and never re-solved: over the full
+history (the default) every fix costs constant work however long the
+stream runs, over a sliding window work in proportion to its length.
+Either way, ``trajectory`` is the batch solve of the window as of the last
+solved step, built when it is read.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class _Slot:
 
     def __post_init__(self) -> None:
         self.contributes = (
-            self.information is not None and float(np.trace(self.information)) > 0.0
+            self.information is not None and bool(np.any(np.diagonal(self.information) > 0.0))
         )
 
 
@@ -313,7 +315,7 @@ class SequentialTracker:
             if self._window.popleft().contributes:
                 self._usable -= 1
         if slot.information is not None:
-            self._elimination.append(slot.time, slot.value, slot.information, slot.root)
+            self._elimination.append(slot.time, slot.value, slot.root)
         if self._elimination is not None:
             self._elimination.retire(self._window[0].time)
 

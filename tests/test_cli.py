@@ -359,6 +359,21 @@ class TestTrack:
         assert table.names[:3] == ("t", "px", "py")
         assert np.isfinite(table.floats("px")).all()
 
+    @pytest.mark.parametrize("window", [[], ["--window", "3"]], ids=["full", "window"])
+    def test_information_of_1e308_is_tracked(self, tmp_path, window):
+        """The first fix's information, 1e308 I, is usable and its root 1e154 I."""
+        rows = [(t, t, 0.5 * t, 1e308 if t == 0.0 else 1.0, 0.0, 1e308 if t == 0.0 else 1.0,
+                 1.0, PROVENANCE_OBSERVED) for t in np.arange(4.0)]
+        path = str(tmp_path / "stream.csv")
+        fileio.write_table(path, fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"), rows)
+        out = tmp_path / "trk"
+        assert run_cli("track", path, "--eta", "10", *window, "--out", str(out)) == 0
+        table = fileio.read_table(str(out / "stream-track.csv"), expect_schema=fileio.SCHEMA_TRACK)
+        for name in ("px", "py", "vx", "vy", "ax", "ay"):
+            assert np.isfinite(table.floats(name)).all()
+        assert np.abs(table.floats("px") - np.arange(4.0)).max() <= 1e-12
+
     def test_wrong_schema_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "truth.csv")
         fileio.write_truth(path, np.arange(4.0), np.arange(4.0))

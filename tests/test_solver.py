@@ -440,10 +440,56 @@ def random_vector_series(rng, m, dim):
     return VectorObservationSeries(grid=build_time_grid(times), values=values, informations=infos)
 
 
+def stationarity_rows(taus, values, infos, eta):
+    """Block rows of the stationarity system pinned at the final velocity.
+
+    Sample i owns 5d unknowns x_i = (p_i, v_i, a_i, lambda_i, mu_i), each a
+    d-vector, and 5d equations: the stationarity of p_i, v_i and a_i, then
+    the position and velocity updates over gap i. The final sample has no
+    gap; its rows pin v_n to the right-hand side and set the padding
+    unknowns a_n, lambda_n and mu_n to zero. Row block i couples x_{i-1},
+    x_i and x_{i+1}, so the result has shape (m, 5d, 15d + d + 1): the three
+    coefficient blocks, then d + 1 right-hand sides (the data with the pin
+    at zero, and zero data with the pin at each unit vector). Each row is
+    scaled to unit largest coefficient.
+    """
+    m, d = values.shape
+    eye = np.eye(d)
+    tau = taus[:, None, None] * eye
+    P, V, A, LAM, MU = range(5)
+    b = 5 * d
+    rows = np.zeros((m, b, 3 * b + d + 1))
+    # The coefficient blocks viewed as [sample, equation, coupled sample
+    # (previous, own, next), unknown, row, column].
+    K = rows[:, :, :3 * b].reshape(m, 5, d, 3, 5, d).transpose(0, 1, 3, 4, 2, 5)
+    K[:, 0, 1, P] = infos
+    K[1:, 0, 0, LAM] = eye
+    K[:-1, 0, 1, LAM] = -eye
+    K[1:-1, 1, 0, MU] = eye
+    K[:-1, 1, 1, MU] = -eye
+    K[:-1, 1, 1, LAM] = -tau
+    K[:-1, 2, 1, A] = 2.0 * eta * eye
+    K[:-1, 2, 1, LAM] = -0.5 * tau
+    K[:-1, 2, 1, MU] = -eye
+    K[:-1, 3, 2, P] = eye
+    K[:-1, 3, 1, P] = -eye
+    K[:-1, 3, 1, V] = -tau
+    K[:-1, 3, 1, A] = -0.5 * taus[:, None, None] * tau
+    K[:-1, 4, 2, V] = eye
+    K[:-1, 4, 1, V] = -eye
+    K[:-1, 4, 1, A] = -tau
+    for eq, unknown in ((1, V), (2, A), (3, LAM), (4, MU)):
+        K[-1, eq, 1, unknown] = eye
+    rows[:, :d, 3 * b] = np.einsum("jab,jb->ja", infos, values)
+    rows[-1, d:2 * d, 3 * b + 1:] = eye
+    rows /= np.abs(rows[:, :, :3 * b]).max(axis=2)[:, :, None]
+    return rows
+
+
 def dense_lu_sweep(taus, values, infos, eta):
     """Positions (m, d, k) and accelerations (m - 1, d, k) of the pinned fit at eta, for
     the d + 1 right-hand sides of its stationarity rows, by a dense LU of those rows."""
-    rows = solver._stationarity_rows(taus, values, infos, eta)
+    rows = stationarity_rows(taus, values, infos, eta)
     m, b, _ = rows.shape
     d = b // 5
     dense = np.zeros((m * b, (m + 2) * b))
@@ -894,6 +940,30 @@ class TestFiniteFitsStayFinite:
         assert solver._rescaled(norm, 1, rows, ends) == norm(rows, ends)
         assert solver._rescaled(norm, 1, 1e300 * rows, 1e300 * ends) == pytest.approx(
             1e300 * norm(rows, ends), rel=1e-14)
+
+    def test_acceleration_weight_past_the_float_range_is_singular(self):
+        """sqrt(2 eta tau) overflows here; the solve says so rather than warn."""
+        obs = scalar_series(1e10 * np.arange(6.0), [0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+        with pytest.raises(SingularSystem, match="acceleration weight"):
+            solve_scalar(obs, 1e300)
+
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    def test_residual_past_the_float_range_is_infinite(self, time_reversed):
+        """The master residual's gap products overflow on gaps of 1e150."""
+        obs = scalar_series(1e150 * np.arange(6.0), [0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+        traj = solve_scalar(obs, 1e10, time_reversed=time_reversed)
+        assert traj.residual_norm == np.inf
+        assert np.all(np.isfinite(traj.positions))
+
+    def test_an_information_of_1e308_is_usable(self):
+        """Its trace would overflow; a positive diagonal entry marks it usable."""
+        times = np.arange(5.0)
+        values = np.column_stack([times, 0.5 * times])
+        infos = np.tile(np.eye(2), (5, 1, 1))
+        infos[0] = 1e308 * np.eye(2)
+        traj = solve_vector(VectorObservationSeries(
+            grid=build_time_grid(times), values=values, informations=infos), 10.0)
+        assert np.abs(traj.positions - values).max() <= 1e-12 * np.abs(values).max()
 
 
 class TestSpline:

@@ -624,9 +624,13 @@ class TestIncrementalFullHistory:
           for policy, dim, eta in (
               (POLICY_COALESCE, 1, 1e-3), (POLICY_COALESCE, 2, 1e6),
               (POLICY_ZERO_WEIGHT, 1, 1.0), (POLICY_ZERO_WEIGHT, 2, 1e-3),
-              (POLICY_FORECAST, 1, 1e6), (POLICY_FORECAST, 2, 1.0))),
+              (POLICY_FORECAST, 1, 1e6), (POLICY_FORECAST, 2, 1.0),
+              (POLICY_COALESCE, 3, 1e-3), (POLICY_ZERO_WEIGHT, 3, 1.0), (POLICY_FORECAST, 3, 1e6))),
         *(pytest.param(policy, dim, eta, 25, id=f"{policy}-{dim}-{eta}-window-25")
           for policy in POLICIES for dim in (1, 2) for eta in (1e-3, 1.0, 1e6)),
+        *(pytest.param(policy, 3, eta, 25, id=f"{policy}-3-{eta}-window-25")
+          for policy, eta in ((POLICY_COALESCE, 1e-3), (POLICY_ZERO_WEIGHT, 1.0),
+                              (POLICY_FORECAST, 1e6))),
     ])
     def test_matches_re_solving_tracker(self, policy, dim, eta, window):
         config = TrackerConfig(eta=eta, window=window, policy=policy)
@@ -778,6 +782,15 @@ class TestIncrementalFullHistory:
         trajectory = tracker.trajectory
         assert np.array_equal(trajectory.grid.times, times)
         assert np.array_equal(trajectory.positions, batch.positions)
+
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_an_information_of_1e308_is_tracked(self, window):
+        """Its trace would overflow; the elimination uses its root, 1e154 I."""
+        tracker = SequentialTracker(TrackerConfig(eta=10.0, window=window))
+        for t in np.arange(6.0):
+            point = tracker.step(t, vector_estimate(t, 0.5 * t, 1e308 if t == 0.0 else 1.0))
+            assert np.allclose(point.position, [t, 0.5 * t], rtol=0.0, atol=1e-12)
+        assert np.allclose(point.velocity, [1.0, 0.5], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("window", [None, 6])
     def test_unobserved_direction_raises_singular_system(self, window):
