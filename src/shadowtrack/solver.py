@@ -217,7 +217,7 @@ class ShadowingTrajectory:
     # of the returned positions, in the solved orientation, summed in O(n).
     residual_norm: float
     # d log xi / d log eta at ``eta``, where xi is ``rms_acceleration`` of
-    # this fit; NaN when xi is zero.
+    # this fit; NaN when xi is zero or its derivative in eta passes the float range.
     log_xi_slope: float = np.nan
 
     @property
@@ -325,8 +325,9 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     solution's least-squares residual (one refinement step) and the rows
     -sqrt(2 tau / eta) a, whose solution is the derivative in eta. Returns the
     (m, d, k) positions, the (m - 1, d, k) accelerations, their derivatives in
-    eta, and the data column's misfit y - p, summed from the refinement's parts
-    so it keeps the digits that p loses to rounding at its own scale.
+    eta (NaN past the float range), and the data column's misfit y - p, summed
+    from the refinement's parts so it keeps the digits that p loses to rounding
+    at its own scale. Data rows R y past the float range raise SingularSystem.
     """
     m, d = values.shape
     n, k = m - 1, d + 1
@@ -354,7 +355,11 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     np.multiply(coef[:, :s, None, :, None], root[..., None, :],
                 out=data[..., :cols].reshape(panels, s, d, s + 2, d))
     np.multiply(weight[..., None], np.eye(sd).reshape(s, d, sd), out=accel[..., :sd])
-    data[..., cols] = (root @ padded(values)[..., None])[..., 0]
+    with np.errstate(over="ignore"):
+        data[..., cols] = (root @ padded(values)[..., None])[..., 0]
+        last = roots[n] @ values[n, :, None]
+    if not (np.all(np.isfinite(data[..., cols])) and np.all(np.isfinite(last))):
+        raise SingularSystem("data rows R y pass the float range")
 
     # LAPACK's raw layout holds R transposed; entries below its diagonal are
     # reflectors, masked off in the carried rows.
@@ -409,7 +414,7 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
 
     pin = np.concatenate([np.zeros((d, 1)), np.eye(d)], axis=1)  # v_n of each right-hand side
     p_n = close(carry[:, 2 * d:] - state[:, d:] @ pin,
-                np.concatenate([roots[n] @ values[n, :, None], np.zeros((d, d))], axis=1))
+                np.concatenate([last, np.zeros((d, d))], axis=1))
     p, a = substitute(solved[:, :, 2 * d:], np.concatenate([p_n, pin]))
     misfit = -p
     misfit[:, :, 0] += values
@@ -417,7 +422,10 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     data[..., cols:cols + k] = padded(residual)
     data[..., cols + k:] = 0.0
     accel[..., cols:cols + k] = -padded(a) * weight[..., None]
-    accel[..., cols + k:] = accel[..., cols:cols + k] / eta
+    with np.errstate(over="ignore"):
+        np.divide(accel[..., cols:cols + k], eta, out=accel[..., cols + k:])
+    if not np.all(np.isfinite(accel[..., cols + k:])):  # the derivative passes the float range
+        accel[..., cols + k:] = np.nan
     kept = np.empty((panels, sd, 2 * k))
     carry = np.zeros((2 * d, 2 * k))
     for g in range(panels):
@@ -466,13 +474,13 @@ def _master_residual(taus, values, infos, eta, p) -> float:
     return math.inf if math.isnan(value) else value
 
 
-def _rescaled(f, degree: int, *arrays: np.ndarray) -> float:
+def _rescaled(f, degree: int, *arrays: np.ndarray):
     """f(*arrays), homogeneous of ``degree`` in the arrays, as s^degree f(arrays / s)
     where the plain value is not finite (squares past the float range, say), with s
     the arrays' largest magnitude; a finite value is left as it is, bit for bit."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = f(*arrays)
-        if not math.isfinite(value):
+        if not np.all(np.isfinite(value)):
             scale = max(float(np.abs(x).max()) for x in arrays)
             if 0.0 < scale < math.inf:
                 value = scale ** degree * f(*(x / scale for x in arrays))
@@ -483,30 +491,29 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, roots: np.ndar
            eta: float, time_reversed: bool) -> ShadowingTrajectory:
     """Solve the master system for (m, d) values with (m, d, d) informations and their roots.
 
-    The sweep gives the particular solution x0 and null directions Z of
-    the pinned fit; the coefficients alpha of x0 + Z alpha minimize the
-    information-weighted squared residual of the positions to the
-    observations, read from the sweep's misfit of x0. Velocities are
-    recovered in the original frame.
+    The sweep gives the particular solution p0 and null directions Z of the
+    pinned fit. The coefficients alpha of p0 + Z alpha, which minimize the
+    information-weighted squared residual to the observations, solve the least
+    squares of the square-root rows R_j [y_j - p0_j | Z_j] (y - p0 is the sweep's
+    misfit), and the rows' derivatives in eta give d alpha / d eta through the
+    same triangle. Velocities are recovered in the original frame.
     """
     taus = grid.taus
     if time_reversed:
         # Mirrored time has the same gaps in reverse order.
         taus, values, infos, roots = taus[::-1], values[::-1], infos[::-1], roots[::-1]
     x, acc, dx, dacc, misfit = _sweep(taus, values, roots, eta)
-    p0, z = x[:, :, 0], x[:, :, 1:]
-    wz = np.einsum("jab,jbc->jac", infos, z)
-    gram = np.einsum("jac,jad->cd", z, wz)
-    beta = np.einsum("jac,ja->c", wz, misfit)
-    alpha = np.linalg.lstsq(gram, beta, rcond=None)[0]
-    p = p0 + z @ alpha
+    # The rows [b | A] = R [y - p0 | Z] and their derivatives [db | dA] in eta.
+    b, db = (roots @ misfit[:, :, None]).ravel(), -(roots @ dx[:, :, :1]).ravel()
+    A, dA = ((roots @ z).reshape(b.size, -1) for z in (x[:, :, 1:], dx[:, :, 1:]))
+    q, r = np.linalg.qr(A)
+    _require_nonsingular(np.diagonal(r))
+    alpha = np.linalg.solve(r, q.T @ b)
+    # A^T A d alpha = dA^T (b - A alpha) + A^T (db - dA alpha), with A = q r.
+    dalpha = np.linalg.solve(r, q.T @ (db - dA @ alpha)
+                             + np.linalg.solve(r.T, dA.T @ (b - A @ alpha)))
+    p = x[:, :, 0] + x[:, :, 1:] @ alpha
     a = acc[:, :, 0] + acc[:, :, 1:] @ alpha
-    # d alpha / d eta from gram alpha = beta, then da / d eta.
-    dz = dx[:, :, 1:]
-    dgram = np.einsum("jac,jad->cd", dz, wz)
-    dbeta = (np.einsum("jac,jab,jb->c", dz, infos, misfit)
-             - np.einsum("jac,ja->c", wz, dx[:, :, 0]))
-    dalpha = np.linalg.lstsq(gram, dbeta - (dgram + dgram.T) @ alpha, rcond=None)[0]
     da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
     t = taus[:, None]
     slope = _rescaled(lambda a, da: float(eta * np.sum(t * a * da) / np.sum(t * a * a)), 0, a, da)
@@ -656,7 +663,7 @@ def _require_nonsingular(pivots: np.ndarray) -> None:
     if not smallest > _EPS * largest:
         raise SingularSystem(
             "stationarity system is singular to working precision (smallest "
-            f"pivot {smallest / largest:.3e} of the largest)"
+            f"pivot {smallest:.3e}, largest {largest:.3e})"
         )
 
 
@@ -681,11 +688,13 @@ def solve_vector(obs: VectorObservationSeries, eta: float,
                  time_reversed: bool = True) -> ShadowingTrajectory:
     """Fit a d-dimensional trajectory with general information matrices.
 
-    Each scalar coupling of the master system scales sample j's
-    information block W_j or the identity; the appended constraint rows
-    enforce a zero information-weighted residual sum per component. With
-    diagonal informations the problem decouples into per-component
-    scalar fits, and with d = 1 it is exactly ``solve_scalar``.
+    Sample j enters the fit through the root R_j of its information,
+    R_j^T R_j = W_j, as the rows R_j (p_j - y_j), so a correlated error
+    weighs each direction by its own information. Of the master system's
+    solution family the fit is the member with the least
+    information-weighted residual to the observations. With diagonal
+    informations the problem decouples into per-component scalar fits,
+    and with d = 1 it is exactly ``solve_scalar``.
     """
     eta = _require_positive_eta(eta)
     return _solve(obs.grid, obs.values, obs.informations, obs.roots, eta, time_reversed)

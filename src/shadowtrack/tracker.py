@@ -45,6 +45,7 @@ from .solver import (
     VectorObservationSeries,
     _IncrementalSolve,
     _require_positive_eta,
+    _rescaled,
     evaluate_spline,
     solve_scalar,
     solve_vector,
@@ -194,8 +195,10 @@ class SequentialTracker:
         self.last_point: Optional[TrackPoint] = None
         self._window: Deque[_Slot] = deque()
         self._usable = 0  # contributing slots in the window
-        # Full history only: the running sum of contributing informations.
+        # Full history only: the running sum of contributing informations, as _info_sum
+        # times _info_scale, a power of two that grows only where the sum passes the float range.
         self._info_sum: np.ndarray | float = 0.0
+        self._info_scale = 1.0
         self._elimination: Optional[_IncrementalSolve] = None
         self._newest: Optional[_Newest] = None
         self._solved: Deque[_Slot] = deque()  # gridded slots of the last solve
@@ -240,11 +243,10 @@ class SequentialTracker:
                 "no contributing fixes left in the window to scale a forecast from"
             )
         if self.config.window is None:
-            mean_info = self._info_sum / self._usable
+            mean_info = self._info_sum / self._usable * self._info_scale
         else:
-            mean_info = np.mean(
-                [slot.information for slot in self._window if slot.contributes], axis=0
-            )
+            infos = np.array([slot.information for slot in self._window if slot.contributes])
+            mean_info = _rescaled(lambda infos: np.mean(infos, axis=0), 1, infos)
         info = self.config.forecast_info_scale * mean_info
         return RawPositionEstimate(
             position=position,
@@ -310,7 +312,12 @@ class SequentialTracker:
         if slot.contributes:
             self._usable += 1
         if self.config.window is None and slot.contributes:
-            self._info_sum = self._info_sum + slot.information
+            with np.errstate(over="ignore"):
+                total = self._info_sum + slot.information / self._info_scale
+            if not np.isfinite(total).all():  # both terms halved, their sum is in range
+                self._info_scale *= 2.0
+                total = 0.5 * self._info_sum + slot.information / self._info_scale
+            self._info_sum = total
         while self.config.window is not None and len(self._window) > self.config.window:
             if self._window.popleft().contributes:
                 self._usable -= 1

@@ -374,6 +374,24 @@ class TestTrack:
             assert np.isfinite(table.floats(name)).all()
         assert np.abs(table.floats("px") - np.arange(4.0)).max() <= 1e-12
 
+    @pytest.mark.parametrize("window", [(), ("--window", "5")], ids=["full", "window-5"])
+    def test_forecast_from_informations_of_1e308(self, tmp_path, window):
+        """Rows 0 and 1 hold 1e308 I and row 4 is dropped: the forecast's information, the
+        mean of the informations, is finite though their sum is not."""
+        rows = [(t, t, 0.5 * t, info, 0.0, info, 0.0 if t == 4.0 else 1.0,
+                 "dropped" if t == 4.0 else PROVENANCE_OBSERVED)
+                for t, info in zip(np.arange(6.0), (1e308, 1e308, 1.0, 1.0, 0.0, 1.0))]
+        path = str(tmp_path / "stream.csv")
+        fileio.write_table(path, fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"), rows)
+        out = tmp_path / "trk"
+        assert run_cli("track", path, "--eta", "10", "--policy", "forecast-insert", *window,
+                       "--out", str(out)) == 0
+        table = fileio.read_table(str(out / "stream-track.csv"), expect_schema=fileio.SCHEMA_TRACK)
+        assert table.strings("provenance")[4] == "forecast-inserted"
+        for name in ("px", "py", "vx", "vy", "ax", "ay"):
+            assert np.isfinite(table.floats(name)).all()
+
     def test_wrong_schema_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "truth.csv")
         fileio.write_truth(path, np.arange(4.0), np.arange(4.0))

@@ -809,6 +809,10 @@ class TestEtaSearch:
         assert result.trajectory.eta == bracket[end]
         assert len(result.trace) == (1 if end == "eta_hi" else 2)
 
+    def test_unsupported_container_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="unsupported observation container list"):
+            search_eta([0.0, 1.0, 2.0], 0.1, 1e-2, 1e6)
+
     def test_max_iterations(self, monkeypatch):
         monkeypatch.setattr(solver, "SEARCH_MAX_ITERATIONS", 2)
         obs = gen_scalar_rednoise(4).observations
@@ -955,6 +959,36 @@ class TestFiniteFitsStayFinite:
         assert traj.residual_norm == np.inf
         assert np.all(np.isfinite(traj.positions))
 
+    def test_values_and_informations_of_1e200(self):
+        """Alpha's square-root rows R [y - p0 | Z] stay near 1e300, where information-weighted
+        sums of 1e200 squared would pass the float range."""
+        times = np.arange(5.0)
+        values = 1e200 * np.column_stack([times, 0.5 * times])
+        obs = VectorObservationSeries(grid=build_time_grid(times), values=values,
+                                      informations=np.tile(1e200 * np.eye(2), (5, 1, 1)))
+        positions = solve_vector(obs, 10.0).positions
+        assert np.all(np.isfinite(positions))
+        assert np.abs(positions - values).max() <= 1e-12 * np.abs(values).max()
+
+    def test_data_rows_past_the_float_range_are_singular(self):
+        """R y overflows for values of 1e300 with informations of 1e300 I; the solve says so
+        rather than warn."""
+        times = np.arange(5.0)
+        obs = VectorObservationSeries(
+            grid=build_time_grid(times), values=1e300 * np.column_stack([times, 0.5 * times]),
+            informations=np.tile(1e300 * np.eye(2), (5, 1, 1)))
+        with pytest.raises(SingularSystem, match="data rows"):
+            solve_vector(obs, 10.0)
+
+    def test_eta_derivative_past_the_float_range_gives_a_nan_slope(self):
+        """At eta 1e-299 on values near 1e300 the derivative of the fit in eta passes the
+        float range: the fit stands, with no warning, and its slope is NaN."""
+        times = np.arange(6.0)
+        shape = 0.5 * times ** 2 + np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+        traj = solve_scalar(scalar_series(times, 1e300 * shape), 1e-299)
+        assert np.abs(traj.positions - 1e300 * shape).max() <= 1e-12 * 1e300 * np.abs(shape).max()
+        assert np.isnan(traj.log_xi_slope)
+
     def test_an_information_of_1e308_is_usable(self):
         """Its trace would overflow; a positive diagonal entry marks it usable."""
         times = np.arange(5.0)
@@ -964,6 +998,52 @@ class TestFiniteFitsStayFinite:
         traj = solve_vector(VectorObservationSeries(
             grid=build_time_grid(times), values=values, informations=infos), 10.0)
         assert np.abs(traj.positions - values).max() <= 1e-12 * np.abs(values).max()
+
+
+class TestExtremeInformations:
+    """Five samples of the line (t, t/2) at eta 10 with informations far apart in size.
+
+    Every fit of the line is the line, so these pin the solve's own errors as
+    strict xfails, at their measured values. A heavy oldest information is
+    solved to rounding (``test_an_information_of_1e308_is_usable``).
+    """
+
+    @staticmethod
+    def fit(infos):
+        times = np.arange(5.0)
+        values = np.column_stack([times, 0.5 * times])
+        obs = VectorObservationSeries(grid=build_time_grid(times), values=values,
+                                      informations=infos)
+        return values, solve_vector(obs, 10.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "positions off by 1.8e-8 at 1e30 and 1.6 at 1e60; the sweep differs from the "
+        "dense LU by 2.8e-3 and 0.22, as Householder QR without row ordering mixes rows "
+        "of widely different size (Cox & Higham 1998)"))
+    @pytest.mark.parametrize("factor", [1e30, 1e60])
+    def test_a_heavy_middle_information(self, factor):
+        infos = np.tile(np.eye(2), (5, 1, 1))
+        infos[2] *= factor
+        values, traj = self.fit(infos)
+        assert np.abs(traj.positions - values).max() <= 1e-12 * np.abs(values).max()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "positions off by 3.0: the sweep matches the dense LU, but its null direction at "
+        "the heavy sample is 4.9e-32 where the LU's is 2.6e-80, and the information "
+        "amplifies that in the alpha fit"))
+    def test_a_heavy_newest_information(self):
+        infos = np.tile(np.eye(2), (5, 1, 1))
+        infos[4] *= 1e80
+        values, traj = self.fit(infos)
+        assert np.abs(traj.positions - values).max() <= 1e-12 * np.abs(values).max()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "velocities alternate 0.5 and 1.5 for 1: with every position held by 1e100 roots "
+        "the family's residual does not see alpha, which rounding then picks"))
+    def test_uniform_informations_of_1e200_keep_the_velocity(self):
+        values, traj = self.fit(np.tile(1e200 * np.eye(2), (5, 1, 1)))
+        assert np.abs(traj.positions - values).max() <= 1e-12 * np.abs(values).max()
+        assert np.abs(traj.velocities - [1.0, 0.5]).max() <= 1e-12
 
 
 class TestSpline:
@@ -1107,6 +1187,19 @@ class TestValidation:
         )
         with pytest.raises(SingularSystem):
             solve_vector(obs, 2.0)
+
+    def test_null_directions_unseen_by_the_data_raise_singular_system(self, monkeypatch):
+        """Alpha's triangle is singular when no null direction moves a position."""
+        sweep = solver._sweep
+
+        def unseen(*args):
+            x, *rest = sweep(*args)
+            x[:, :, 1:] = 0.0
+            return (x, *rest)
+
+        monkeypatch.setattr(solver, "_sweep", unseen)
+        with pytest.raises(SingularSystem, match="singular"):
+            solve_vector(random_vector_series(np.random.default_rng(3), 12, 2), 1.0)
 
     @pytest.mark.parametrize("values, infos, error, match", [
         (np.zeros(4), np.tile(np.eye(2), (4, 1, 1)), ShapeMismatch, "values must have shape"),
