@@ -317,9 +317,9 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     its S accelerations and end state (p_e, v_e), as in ``_panel_maps``. One QR of
     a panel's data and acceleration rows under the 2d rows carried on its start
     state keeps S d rows for back substitution and carries 2d rows on (p_e, v_e);
-    sample n's data rows and the pin close the sweep. Back substitution steps each
-    panel's states back from its end one gap at a time, so the positions follow
-    the dynamics of the accelerations returned.
+    sample n's data rows and the pin close the sweep. Back substitution walks each
+    panel, last first, back from its end one gap at a time to its positions and its
+    start state, the previous panel's end, so the positions follow the dynamics.
 
     The second pass repeats the QR calls on 2k new right-hand sides: the first
     solution's least-squares residual (one refinement step) and the rows
@@ -385,30 +385,19 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     solved = _back_substitute(tri, kept[:, :, sd:])
     H = solved[:, :, :2 * d]
 
-    # Each panel's gaps, last first, as (panels, s, 1, 1).
-    last_first = tau[:, ::-1, None, None]
-    halves = 0.5 * last_first * last_first
-
-    def walk_back(g, a_back: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities at samples s ... 0 of panels g from their end states and
-        accelerations a_back, last gap first: each step back uses its gap's end velocity."""
-        t = last_first[g]
-        v = np.add.accumulate(np.concatenate([end[..., None, d:, :], -t * a_back], axis=-3), -3)
-        steps = halves[g] * a_back - t * v[..., :-1, :, :]
-        return np.add.accumulate(np.concatenate([end[..., None, :d, :], steps], axis=-3), -3), v
-
     def substitute(c: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and accelerations from a = c - H (p_e, v_e), panel by panel in reverse."""
         q = c.shape[2]
         a = np.empty((panels, s, d, q))
-        ends = np.empty((panels, 2 * d, q))
-        ends[-1] = end
+        p = np.empty((panels, s, d, q))
+        pv = end  # (p_e, v_e) of panel g
         for g in range(panels - 1, -1, -1):
-            a[g] = (c[g] - H[g] @ ends[g]).reshape(s, d, q)
-            if g:
-                p, v = walk_back(g, a[g, ::-1], ends[g])
-                ends[g - 1, :d], ends[g - 1, d:] = p[-1], v[-1]
-        p = walk_back(slice(None), a[:, ::-1], ends)[0][:, :0:-1]
+            a[g] = (c[g] - H[g] @ pv).reshape(s, d, q)
+            t, back = tau[g, ::-1, None, None], a[g, ::-1]  # the panel's gaps, last first
+            v = np.add.accumulate(np.concatenate([pv[None, d:], -t * back]))
+            steps = 0.5 * t * t * back - t * v[:-1]  # each step back uses its gap's end velocity
+            walk = np.add.accumulate(np.concatenate([pv[None, :d], steps]))
+            p[g], pv = walk[:0:-1], np.concatenate([walk[-1], v[-1]])
         return (np.concatenate([p.reshape(panels * s, d, q)[:n], end[None, :d]]),
                 a.reshape(panels * s, d, q)[:n])
 
@@ -506,9 +495,7 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, roots: np.ndar
     # The rows [b | A] = R [y - p0 | Z] and their derivatives [db | dA] in eta.
     b, db = (roots @ misfit[:, :, None]).ravel(), -(roots @ dx[:, :, :1]).ravel()
     A, dA = ((roots @ z).reshape(b.size, -1) for z in (x[:, :, 1:], dx[:, :, 1:]))
-    q, r = np.linalg.qr(A)
-    _require_nonsingular(np.diagonal(r))
-    alpha = np.linalg.solve(r, q.T @ b)
+    alpha, q, r = _least_squares(b, A)
     # A^T A d alpha = dA^T (b - A alpha) + A^T (db - dA alpha), with A = q r.
     dalpha = np.linalg.solve(r, q.T @ (db - dA @ alpha)
                              + np.linalg.solve(r.T, dA.T @ (b - A @ alpha)))
@@ -553,13 +540,14 @@ class _IncrementalSolve:
 
     Every sample's position is affine in x_N, so the residuals
     R [p0 - y | z] that choose alpha are rows on [x_N; I], carried onto the
-    new state after each elimination. Alpha solves their least squares:
-    a window's null directions can be 1e-7 of its positions, and normal
-    equations then lost 1e-3 of alpha. With no refinement step, the newest
-    state agreed with ``_solve`` to 4e-10 of its scale over gaps spread on
-    four decades, and to 5.2e-9 for noise at eta 1e-3 in a window of 25. There
-    the fit's velocity near the pin reaches 1e4 times its scale, and the
-    rows of the samples beside the pin keep only the digits that leaves.
+    new state after each elimination. Alpha solves their least squares by QR,
+    as in ``_solve``, and rows that lose rank raise SingularSystem: a window's
+    null directions can be 1e-7 of its positions, and normal equations lost
+    1e-3 of alpha. With no refinement step, the newest state agreed with
+    ``_solve`` to 4e-10 of its scale over gaps spread on four decades, and
+    to 5.2e-9 for noise at eta 1e-3 in a window of 25. There the fit's
+    velocity near the pin reaches 1e4 times its scale, and the rows of the
+    samples beside the pin keep only the digits that leaves.
     """
 
     def __init__(self, dim: int, eta: float, sliding: bool):
@@ -642,13 +630,20 @@ class _IncrementalSolve:
                                     root @ misfit])
         if not np.all(np.isfinite(residuals)):
             raise SingularSystem("stationarity solve produced non-finite values")
-        alpha = np.linalg.lstsq(residuals[:, 1:], -residuals[:, 0], rcond=None)[0]
+        alpha = _least_squares(-residuals[:, 0], residuals[:, 1:])[0]
         state = x[:, 0] + x[:, 1:] @ alpha
         gap = self._gap[0]
         a = gap[:, s] + gap[:, s + 1:] @ alpha - gap[:, :s] @ state
         if not (np.all(np.isfinite(state)) and np.all(np.isfinite(a))):
             raise SingularSystem("stationarity solve produced non-finite values")
         return state[:d], state[d:], a
+
+
+def _least_squares(b: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, q, r) with alpha minimizing |A alpha - b|, A = q r; SingularSystem on rank loss."""
+    q, r = np.linalg.qr(A)
+    _require_nonsingular(np.diagonal(r))
+    return np.linalg.solve(r, q.T @ b), q, r
 
 
 def _require_nonsingular(pivots: np.ndarray) -> None:

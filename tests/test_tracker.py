@@ -33,6 +33,7 @@ from shadowtrack import (
     solve_scalar,
     solve_vector,
 )
+from shadowtrack import solver as solver_module
 from shadowtrack import tracker as tracker_module
 
 
@@ -841,6 +842,87 @@ class TestIncrementalFullHistory:
                 tracker.step(float(t), RawPositionEstimate(
                     position=[math.sin(t), math.cos(t)], information=np.diag([1.0, 0.0]),
                     weight=1.0, provenance=PROVENANCE_OBSERVED))
+
+    @pytest.mark.parametrize("window", [None, 6])
+    def test_alpha_rows_that_lose_rank_raise_singular_system(self, monkeypatch, window):
+        """With no null direction left in the carried rows, alpha's rows lose rank, and
+        ``step`` raises as the batch solve does rather than emit a truncated alpha."""
+        append = solver_module._IncrementalSolve.append
+
+        def unseen(self, *args):
+            append(self, *args)
+            self._carry[..., 2 * self.dim + 1:] = 0.0  # x_N's null directions
+            self._residual[..., 2 * self.dim + 1:] = 0.0  # and the older samples'
+
+        monkeypatch.setattr(solver_module._IncrementalSolve, "append", unseen)
+        tracker = SequentialTracker(TrackerConfig(eta=2.0, window=window))
+        with pytest.raises(SingularSystem, match="singular"):
+            for t in range(8):
+                tracker.step(float(t), vector_estimate(t, 0.5 * t * t))
+
+
+def invariance_errors(dim, window, seed):
+    """How far a tracker is from two exact invariances of its fit on one stream.
+
+    The objective, the sum of (p - y)^T W (p - y) / 2 and eta tau |a|^2, keeps
+    its minimizer when time is scaled by c and eta by c^3 (velocities scale by
+    1/c and accelerations by 1/c^2), and scales it by s when the values are (the
+    informations unchanged). The stream is ``maneuvering_stream`` on three
+    decades of gaps with every tenth step a gap, a placeholder under the
+    zero-weight policy; c and s are drawn from 2^[-8, 8] and eta from 1e-3 to
+    1e4. Returns the worst error of each, p, v and a each on its own scale over
+    the run.
+    """
+    rng = np.random.default_rng([61, dim, seed])
+    c, s = 2.0 ** rng.uniform(-8.0, 8.0, 2)
+    eta = 10.0 ** rng.uniform(-3.0, 4.0)
+    times, fixes = maneuvering_stream(dim, seed=100 * dim + seed, n=60, decades=3.0,
+                                      gap_share=0.0)
+    fixes[9::10] = [None] * 6
+
+    def track(times, fixes, eta):
+        tracker = SequentialTracker(TrackerConfig(eta=eta, window=window,
+                                                  policy=POLICY_ZERO_WEIGHT))
+        return [tracker.step(float(t), fix) for t, fix in zip(times, fixes)]
+
+    base = track(times, fixes, eta)
+
+    def error(points, scales):
+        worst = 0.0
+        for field, scale in zip(("position", "velocity", "acceleration"), scales):
+            got = scale * np.array([getattr(point, field) for point in points])
+            want = np.array([getattr(point, field) for point in base])
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        return worst
+
+    timed = track(c * times, fixes, eta * c ** 3)
+    scaled = track(times, [fix if fix is None else RawPositionEstimate(
+        position=s * fix.position, information=fix.information, weight=fix.weight,
+        provenance=fix.provenance) for fix in fixes], eta)
+    return error(timed, (1.0, c, c * c)), error(scaled, (1.0 / s,) * 3)
+
+
+class TestInvariances:
+    """Time scaled with eta, and values scaled, leave the tracker's states as they were.
+
+    Neither is bitwise, even at powers of two, because the pin's unit right-hand
+    sides do not scale. Over 300 streams each, the worst time and value errors
+    were 6.3e-11 and 4.8e-11 for d = 1 (window 25: 6.5e-11 and 4.9e-11) and
+    1.3e-11 and 4.6e-12 for d = 2. In a window of 7 the time error is wider.
+    """
+
+    @pytest.mark.parametrize("window", [None, 7, 25])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_time_and_value_scaling(self, dim, window):
+        for seed in range(4):
+            assert max(invariance_errors(dim, window, seed)) <= 1e-10, seed
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "velocity off by 6.7e-10 (d = 1) and 2.1e-10 (d = 2) of scale at eta 8.2e3 and "
+        "2.5e3, the worst of 300 streams each; likely alpha's rows beside the window's pin"))
+    @pytest.mark.parametrize("dim, seed", [(1, 113), (2, 267)])
+    def test_time_scaling_in_a_window_of_7(self, dim, seed):
+        assert invariance_errors(dim, 7, seed)[0] <= 1e-10
 
 
 class TestRejectedFix:
