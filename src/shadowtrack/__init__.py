@@ -13,7 +13,8 @@ Public layers:
   a given time grid.
 * :mod:`shadowtrack.solver` solves the batch smoothing system, recovers
   velocities and accelerations, searches the smoothing strength for a
-  target RMS acceleration, and exposes a dense reference solver.
+  target RMS acceleration, and exposes a dense reference solver. Its
+  observation series are defined in :mod:`shadowtrack.series`.
 * :mod:`shadowtrack.geometry` converts sensor readings into position
   estimates with information matrices and condition weights.
 * :mod:`shadowtrack.tracker` runs a sequential tracker with configurable
@@ -22,25 +23,71 @@ Public layers:
 * :mod:`shadowtrack.scenarios` generates seeded synthetic data sets.
 * :mod:`shadowtrack.fileio` reads and writes the CSV/JSON interchange
   formats used by the ``shadow-track`` command line tool.
+
+Importing the package loads none of them. Each public name, and each
+module, is imported on first use (PEP 562), so a command that needs one
+layer never pays for the others.
 """
 
-from . import errors, geometry, matrices, scenarios, solver, tracker
-from .errors import *  # noqa: F401,F403
-from .matrices import *  # noqa: F401,F403
-from .solver import *  # noqa: F401,F403
-from .geometry import *  # noqa: F401,F403
-from .tracker import *  # noqa: F401,F403
-from .scenarios import *  # noqa: F401,F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each module declares its public names once, in its own __all__.
-__all__ = [
-    "__version__",
-    *errors.__all__,
-    *matrices.__all__,
-    *solver.__all__,
-    *geometry.__all__,
-    *tracker.__all__,
-    *scenarios.__all__,
-]
+# Each module's public names, as its own __all__ declares them.
+_EXPORTS = {
+    "errors": (
+        "ShadowTrackError", "UsageError", "DataError", "NumericalError", "IOFailure",
+        "NonIncreasingTimes", "TooFewPoints", "NonPositiveEta", "DegenerateWeights",
+        "NonSymmetricInformation", "IndefiniteInformation", "ShapeMismatch",
+        "TimeOutOfRange", "BracketDoesNotStraddle", "MaxIterations", "SingularSystem",
+        "RangeTooSmall", "CoincidentSites", "OutOfOrderTimestamp", "WindowTooSparse",
+        "NoTrajectoryYet", "UnknownScenario", "SchemaError",
+    ),
+    "matrices": (
+        "TimeGrid", "FilterMatrices", "IdentityReport", "build_time_grid",
+        "build_filter_matrices", "verify_identities",
+    ),
+    "solver": (
+        "ScalarObservationSeries", "VectorObservationSeries", "ShadowingTrajectory",
+        "OracleSolution", "EtaSearchResult", "solve_scalar", "solve_vector",
+        "rms_acceleration", "search_eta", "evaluate_spline", "evaluate_spline_velocity",
+        "solve_kkt_oracle", "oracle_residuals",
+    ),
+    "geometry": (
+        "MODE_IGNORE_CORRELATION", "MODE_PROPAGATE", "PROVENANCE_OBSERVED",
+        "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "SensorSite", "PolarObservation",
+        "RawPositionEstimate", "wrap_bearing", "rcond_1norm", "propagate_information",
+        "range_bearing_to_position", "two_bearings_to_position", "two_ranges_to_position",
+    ),
+    "tracker": (
+        "POLICIES", "POLICY_COALESCE", "POLICY_ZERO_WEIGHT", "POLICY_FORECAST",
+        "TrackerConfig", "TrackPoint", "SequentialTracker",
+    ),
+    "scenarios": (
+        "SCENARIO_IDS", "ScalarScenario", "PlanarScenario", "TwoSensorBearingScenario",
+        "RangeBearingScenario", "planar_truth", "gen_scalar_rednoise", "gen_planar_path",
+        "gen_two_sensor_bearings", "gen_range_bearing", "apply_missing",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (
+    "cli", "constants", "errors", "fileio", "geometry", "matrices", "scenarios", "series",
+    "solver", "tracker",
+)
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

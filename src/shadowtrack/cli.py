@@ -22,12 +22,20 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional, Sequence
-
-import numpy as np
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from . import fileio
+from .constants import (
+    DROP_WEIGHT,
+    FORECAST_INFO_SCALE,
+    MODE_IGNORE_CORRELATION,
+    MODE_PROPAGATE,
+    POLICIES,
+    POLICY_COALESCE,
+    SCENARIO_IDS,
+    TRACKER_ETA,
+)
 from .errors import (
     IOFailure,
     NumericalError,
@@ -37,28 +45,40 @@ from .errors import (
     UsageError,
     WindowTooSparse,
 )
-from .geometry import (
-    MODE_IGNORE_CORRELATION,
-    MODE_PROPAGATE,
-    PROVENANCE_DROPPED,
-    SensorSite,
-    _planar_point,
-    range_bearing_to_position,
-    two_bearings_to_position,
-    two_ranges_to_position,
-)
-from .matrices import _frozen
-from .scenarios import (
-    SCENARIO_IDS,
-    _segment_path,
-    apply_missing,
-    gen_planar_path,
-    gen_range_bearing,
-    gen_scalar_rednoise,
-    gen_two_sensor_bearings,
-)
-from .solver import _require_bracket, rms_acceleration, search_eta, solve_scalar, solve_vector
-from .tracker import POLICIES, SequentialTracker, TrackerConfig, TrackPoint
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .geometry import SensorSite
+
+# The parser needs only the standard library, ``constants`` and ``errors``.
+# Each command imports the modules it runs, so ``--version`` and ``--help``
+# load no numpy, ``generate`` and ``transform`` no solver or tracker, and
+# ``track`` and ``filter`` no scenarios. The library functions below are
+# attributes of this module, imported on first read (PEP 562). Commands call
+# them as ``_this.<name>``, because a bare name never reaches that hook; so
+# each call goes to whatever a patch or a wrapper has put on the attribute.
+_LIBRARY = {
+    "solve_scalar": "solver",
+    "solve_vector": "solver",
+    "search_eta": "solver",
+    "range_bearing_to_position": "geometry",
+    "two_bearings_to_position": "geometry",
+    "two_ranges_to_position": "geometry",
+    "gen_scalar_rednoise": "scenarios",
+    "gen_planar_path": "scenarios",
+    "gen_two_sensor_bearings": "scenarios",
+    "gen_range_bearing": "scenarios",
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LIBRARY[name]}", __package__), name)
+    globals()[name] = value  # bound as an import would bind it; a patch replaces it
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,24 +127,24 @@ def _build_parser() -> argparse.ArgumentParser:
     trk.add_argument(
         "stream", help="scalar observation CSV or raw position estimate CSV"
     )
-    trk.add_argument("--eta", type=float, default=TrackerConfig.eta)
+    trk.add_argument("--eta", type=float, default=TRACKER_ETA)
     trk.add_argument(
         "--window",
         type=int,
         default=None,
         help="number of recent steps retained (default: full history)",
     )
-    trk.add_argument("--policy", choices=POLICIES, default=TrackerConfig.policy)
+    trk.add_argument("--policy", choices=POLICIES, default=POLICY_COALESCE)
     trk.add_argument(
         "--gamma",
         type=float,
-        default=TrackerConfig.forecast_info_scale,
+        default=FORECAST_INFO_SCALE,
         help="forecast information scale for the forecast-insert policy",
     )
     trk.add_argument(
         "--drop-weight",
         type=float,
-        default=TrackerConfig.drop_weight,
+        default=DROP_WEIGHT,
         help="condition-weight floor below which fixes are treated as gaps",
     )
 
@@ -163,6 +183,8 @@ def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **section
     before anything is written, so a manifest that is not strict JSON raises
     SchemaError with no output written. Prints the output paths in key order.
     """
+    from . import fileio
+
     manifest = {
         "format": fileio.MANIFEST_FORMAT,
         "command": args.command,
@@ -190,6 +212,11 @@ def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **section
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import fileio
+    from .scenarios import apply_missing
+
     seed = int(args.seed)
     fraction = float(args.missing_fraction)
     scenario_id = args.scenario
@@ -203,7 +230,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sections: dict = {}
 
     if scenario_id == "rednoise":
-        sc = gen_scalar_rednoise(seed)
+        sc = _this.gen_scalar_rednoise(seed)
         obs = sc.observations
         if fraction != 0.0:  # apply_missing rejects fractions outside [0, 1)
             obs, keep = apply_missing(obs, fraction, seed)
@@ -212,14 +239,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
             obs.grid.times, obs.values, obs.weights,
         )}
     elif scenario_id == "planar":
-        sc = gen_planar_path(seed)
+        sc = _this.gen_planar_path(seed)
         obs = sc.observations
         outputs = {"observations": (
             f"{prefix}-observations.csv", fileio.write_vector_observations,
             sc.times, obs.values, obs.informations,
         )}
     elif scenario_id == "sonar":
-        sc = gen_two_sensor_bearings(seed)
+        sc = _this.gen_two_sensor_bearings(seed)
         variances = np.full((sc.times.size, 2), sc.bearing_noise_sd**2)
         tracks = [np.stack([site.at(t) for t in sc.times]) for site in (sc.site_a, sc.site_b)]
         outputs = {
@@ -230,7 +257,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         }
         sections["geometry"] = sc.geometry()
     else:
-        sc = gen_range_bearing(seed)
+        sc = _this.gen_range_bearing(seed)
         outputs = {"readings": (
             f"{prefix}-polar.csv", fileio.write_polar_observations,
             sc.times, sc.observations,
@@ -249,12 +276,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    from . import fileio
+    from .solver import _require_bracket, rms_acceleration
+
     bracket = list(_require_bracket(*args.bracket))  # checked even where --eta leaves it unused
     table = fileio.read_table(args.observations)
     if table.schema == fileio.SCHEMA_SCALAR_OBS:
-        series, solve = fileio._scalar_series(table), solve_scalar
+        series, solve = fileio._scalar_series(table), _this.solve_scalar
     elif table.schema == fileio.SCHEMA_VECTOR_OBS:
-        series, solve = fileio._vector_series(table), solve_vector
+        series, solve = fileio._vector_series(table), _this.solve_vector
     else:
         raise SchemaError(
             f"{args.observations} holds schema {table.schema!r}; "
@@ -270,7 +300,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     else:
         xi_target = arguments["xi"] = float(args.xi)
         tag = f"xi{xi_target:g}"
-        found = search_eta(series, xi_target, *bracket)
+        found = _this.search_eta(series, xi_target, *bracket)
         trajectory = found.trajectory
         sections["search"] = {
             "eta": float(found.eta),
@@ -289,20 +319,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
 # --- track ----------------------------------------------------------------
 
 
-def _nan_point(time: float, dim: int, weight: float, usable: int) -> TrackPoint:
-    filler = _frozen(np.full(dim, math.nan))
-    return TrackPoint(
-        time=time,
-        position=filler,
-        velocity=filler,
-        acceleration=filler,
-        weight=weight,
-        provenance=PROVENANCE_DROPPED,
-        usable_points=usable,
-    )
-
-
 def cmd_track(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import fileio
+    from .geometry import PROVENANCE_DROPPED
+    from .matrices import _frozen
+    from .tracker import SequentialTracker, TrackerConfig, TrackPoint
+
     table = fileio.read_table(args.stream)
     config = TrackerConfig(
         eta=float(args.eta),
@@ -327,8 +351,16 @@ def cmd_track(args: argparse.Namespace) -> int:
         try:
             return tracker.step(t, fix)
         except WindowTooSparse:
-            weight = 0.0 if fix is None else float(fix.weight)
-            return _nan_point(t, dim, weight, tracker.usable_count)
+            filler = _frozen(np.full(dim, math.nan))
+            return TrackPoint(
+                time=t,
+                position=filler,
+                velocity=filler,
+                acceleration=filler,
+                weight=0.0 if fix is None else float(fix.weight),
+                provenance=PROVENANCE_DROPPED,
+                usable_points=tracker.usable_count,
+            )
 
     points = fileio._by_row(step, zip(times, fixes))
 
@@ -356,6 +388,8 @@ def _geometry_entry(geometry: dict, key: str):
 
 def _point(value, what: str) -> np.ndarray:
     """A planar point of JSON numbers, which strings and booleans are not."""
+    from .geometry import _planar_point
+
     if all(type(item) in (int, float) for item in (value if isinstance(value, list) else [value])):
         try:
             return _planar_point(value, f"geometry entry {what}")
@@ -365,6 +399,8 @@ def _point(value, what: str) -> np.ndarray:
 
 
 def _site_from_geometry(entry: dict, what: str) -> SensorSite:
+    from .geometry import SensorSite, _segment_path
+
     if not isinstance(entry, dict):
         raise SchemaError(f"geometry entry {what} must be an object")
     if "start" in entry:
@@ -380,6 +416,9 @@ def _site_from_geometry(entry: dict, what: str) -> SensorSite:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from . import fileio
+    from .geometry import PROVENANCE_DROPPED, SensorSite
+
     geometry_doc = fileio.read_json(args.geometry)
     geometry = geometry_doc.get("geometry", geometry_doc)
     if not isinstance(geometry, dict):
@@ -390,7 +429,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         site = SensorSite(_point(_geometry_entry(geometry, "site"), "site"))
         times, observations = fileio.read_polar_observations(args.readings)
         estimates = fileio._by_row(
-            lambda t, obs: range_bearing_to_position(site, obs, args.mode, time=float(t)),
+            lambda t, obs: _this.range_bearing_to_position(site, obs, args.mode, time=float(t)),
             zip(times, observations),
         )
     elif kind == "two-bearings":
@@ -398,7 +437,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         site_b = _site_from_geometry(_geometry_entry(geometry, "site_b"), "site_b")
         times, bearings, variances = fileio.read_bearings(args.readings)
         estimates = fileio._by_row(
-            lambda t, pair, variance: two_bearings_to_position(
+            lambda t, pair, variance: _this.two_bearings_to_position(
                 site_a, site_b, *pair, *variance, time=float(t)),
             zip(times, bearings, variances),
         )
@@ -410,7 +449,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
         def fix(t, pair, variance):
             nonlocal previous
-            est = two_ranges_to_position(
+            est = _this.two_ranges_to_position(
                 site_a, site_b, *pair, previous,
                 variance_a=variance[0], variance_b=variance[1], time=float(t),
             )

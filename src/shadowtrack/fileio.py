@@ -26,7 +26,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,10 +37,13 @@ from .errors import (
     NonSymmetricInformation,
     SchemaError,
 )
-from .geometry import PolarObservation, RawPositionEstimate
+from .geometry import PolarObservation, RawPositionEstimate, _scalar_fix
 from .matrices import _symmetrized, build_time_grid
-from .solver import ScalarObservationSeries, ShadowingTrajectory, VectorObservationSeries
-from .tracker import TrackPoint, _scalar_fix
+from .series import ScalarObservationSeries, VectorObservationSeries
+
+if TYPE_CHECKING:  # named in annotations only, so reading a file loads no solver
+    from .solver import ShadowingTrajectory
+    from .tracker import TrackPoint
 
 SCHEMA_SCALAR_OBS = "shadowtrack.scalar-observations.v1"
 SCHEMA_VECTOR_OBS = "shadowtrack.vector-observations.v1"

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .constants import DROP_WEIGHT, MODE_IGNORE_CORRELATION, MODE_PROPAGATE
 from .errors import (
     CoincidentSites,
     DataError,
@@ -42,15 +43,11 @@ __all__ = [
 ]
 
 MIN_RANGE = 1e-9
-DROP_WEIGHT = 1e-6
 
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_FORECAST = "forecast-inserted"
 PROVENANCE_DROPPED = "dropped"
 PROVENANCE_VALUES = (PROVENANCE_OBSERVED, PROVENANCE_FORECAST, PROVENANCE_DROPPED)
-
-MODE_IGNORE_CORRELATION = "ignore-correlation"
-MODE_PROPAGATE = "propagate"
 
 
 def wrap_bearing(theta: float) -> float:
@@ -91,6 +88,15 @@ class SensorSite:
         if self.path is None:
             return self.position
         return _planar_point(self.path(float(time)), "site path value")
+
+
+def _segment_path(start: np.ndarray, end: np.ndarray, span: float):
+    # Past the float range a position comes out infinite, for SensorSite.at to reject.
+    def path(time: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return start + (end - start) * (float(time) / span)
+
+    return path
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,21 @@ class RawPositionEstimate:
     def usable(self) -> bool:
         """Whether the estimate may participate in a solve."""
         return self.provenance != PROVENANCE_DROPPED
+
+
+def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
+    """A scalar reading as an observed 1-D fix; None for a gap (``value`` None or ``info`` 0)."""
+    if value is None:
+        return None
+    value, info = float(value), float(info)
+    if not math.isfinite(value):
+        raise ShapeMismatch("scalar observation must be finite")
+    if not math.isfinite(info) or info < 0.0:
+        raise UsageError(f"scalar information must be finite and non-negative, got {info}")
+    if info == 0.0:
+        return None
+    return RawPositionEstimate(position=np.array([value]), information=np.array([[info]]),
+                               weight=1.0, provenance=PROVENANCE_OBSERVED)
 
 
 def rcond_1norm(matrix: Union[Sequence[Sequence[float]], np.ndarray]) -> float:

@@ -26,10 +26,11 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
+from .constants import SCENARIO_IDS
 from .errors import DataError, UsageError
-from .geometry import PolarObservation, SensorSite, wrap_bearing
+from .geometry import PolarObservation, SensorSite, _segment_path, wrap_bearing
 from .matrices import _frozen, build_time_grid
-from .solver import ScalarObservationSeries, VectorObservationSeries
+from .series import ScalarObservationSeries, VectorObservationSeries
 
 __all__ = [
     "SCENARIO_IDS",
@@ -44,8 +45,6 @@ __all__ = [
     "gen_range_bearing",
     "apply_missing",
 ]
-
-SCENARIO_IDS = ("rednoise", "planar", "sonar", "range-bearing")
 
 # Straight runs of the two sonar sensors, (start, end) for sites a and b.
 _SONAR_RUNS = (((-3.0, 3.0), (3.0, 1.0)), ((-3.0, -2.0), (3.0, -1.0)))
@@ -254,15 +253,6 @@ def gen_planar_path(
         observations=observations,
         noise_sd=noise_sd,
     )
-
-
-def _segment_path(start: np.ndarray, end: np.ndarray, span: float):
-    # Past the float range a position comes out infinite, for SensorSite.at to reject.
-    def path(time: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return start + (end - start) * (float(time) / span)
-
-    return path
 
 
 def gen_two_sensor_bearings(

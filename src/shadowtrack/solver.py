@@ -52,24 +52,24 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     BracketDoesNotStraddle,
-    DataError,
-    DegenerateWeights,
     MaxIterations,
     NonPositiveEta,
-    ShapeMismatch,
     SingularSystem,
     TimeOutOfRange,
     UsageError,
 )
 # build_filter_matrices stays importable from here: it is the operator
 # layer of the master system, which the structured solve no longer forms.
-from .matrices import TimeGrid, _frozen, _symmetrized, build_filter_matrices  # noqa: F401
+from .matrices import TimeGrid, _frozen, build_filter_matrices  # noqa: F401
+# The series classes live in ``series``, which holds no solver code, and stay
+# importable from here.
+from .series import ScalarObservationSeries, VectorObservationSeries
 
 __all__ = [
     "ScalarObservationSeries",
@@ -92,8 +92,6 @@ PANEL_WIDTH = 24
 
 _EPS = float(np.finfo(float).eps)
 
-MIN_EFFECTIVE_SAMPLES = 3
-
 # search_eta stops once xi is within this fraction of its target, and
 # gives up after this many steps inside the bracket.
 SEARCH_REL_TOL = 2e-5
@@ -113,88 +111,6 @@ def _require_bracket(eta_lo: float, eta_hi: float) -> tuple[float, float]:
     if eta_lo >= eta_hi:
         raise UsageError(f"bracket must satisfy eta_lo < eta_hi, got [{eta_lo}, {eta_hi}]")
     return eta_lo, eta_hi
-
-
-@dataclass(frozen=True)
-class ScalarObservationSeries:
-    """One-dimensional observations with per-sample weights.
-
-    Weights are inverse error variances; a weight of zero marks a
-    placeholder slot whose value is ignored by the fit but whose time
-    stays in the grid.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray   # (n+1,)
-    weights: np.ndarray  # (n+1,), >= 0
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        m = self.grid.times.shape[0]
-        if values.shape != (m,):
-            raise ShapeMismatch(f"values shape {values.shape} does not match grid of {m} samples")
-        if weights.shape != (m,):
-            raise ShapeMismatch(f"weights shape {weights.shape} does not match grid of {m} samples")
-        if not np.all(np.isfinite(values)):
-            raise DataError("observation values must be finite")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-            raise DegenerateWeights("weights must be finite and non-negative")
-        if int(np.count_nonzero(weights > 0.0)) < MIN_EFFECTIVE_SAMPLES:
-            raise DegenerateWeights(
-                f"need at least {MIN_EFFECTIVE_SAMPLES} positive weights, "
-                f"got {int(np.count_nonzero(weights > 0.0))}"
-            )
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "weights", _frozen(weights))
-
-
-@dataclass(frozen=True)
-class VectorObservationSeries:
-    """d-dimensional observations with per-sample information matrices.
-
-    Information matrices are inverses of the observation error
-    covariances; they must be symmetric and positive semidefinite. A zero
-    matrix marks a placeholder slot.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray        # (n+1, d)
-    informations: np.ndarray  # (n+1, d, d)
-    roots: np.ndarray = field(init=False, repr=False, compare=False)  # R^T R = information
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        infos = np.asarray(self.informations, dtype=float)
-        m = self.grid.times.shape[0]
-        if values.ndim != 2 or values.shape[0] != m or values.shape[1] < 1:
-            raise ShapeMismatch(
-                f"values must have shape ({m}, d), got {values.shape}"
-            )
-        d = values.shape[1]
-        if infos.shape != (m, d, d):
-            raise ShapeMismatch(
-                f"informations must have shape ({m}, {d}, {d}), got {infos.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DataError("observation values must be finite")
-        if not np.all(np.isfinite(infos)):
-            raise DataError("information matrices must be finite")
-        sym, roots = _symmetrized(infos)
-        # A positive semidefinite matrix is nonzero iff a diagonal entry is positive.
-        usable = int(np.count_nonzero(np.any(np.diagonal(sym, axis1=1, axis2=2) > 0.0, axis=1)))
-        if usable < MIN_EFFECTIVE_SAMPLES:
-            raise DegenerateWeights(
-                f"need at least {MIN_EFFECTIVE_SAMPLES} samples with nonzero "
-                f"information, got {usable}"
-            )
-        object.__setattr__(self, "values", _frozen(values))
-        object.__setattr__(self, "informations", _frozen(sym))
-        object.__setattr__(self, "roots", _frozen(roots))
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,15 @@ from typing import Deque, NamedTuple, Optional
 
 import numpy as np
 
+from .constants import (
+    DROP_WEIGHT,
+    FORECAST_INFO_SCALE,
+    POLICIES,
+    POLICY_COALESCE,
+    POLICY_FORECAST,
+    POLICY_ZERO_WEIGHT,
+    TRACKER_ETA,
+)
 from .errors import (
     DataError,
     NoTrajectoryYet,
@@ -31,18 +40,15 @@ from .errors import (
     WindowTooSparse,
 )
 from .geometry import (
-    DROP_WEIGHT,
     PROVENANCE_DROPPED,
     PROVENANCE_FORECAST,
-    PROVENANCE_OBSERVED,
     RawPositionEstimate,
+    _scalar_fix,
 )
 from .matrices import _frozen, build_time_grid
+from .series import MIN_EFFECTIVE_SAMPLES, ScalarObservationSeries, VectorObservationSeries
 from .solver import (
-    MIN_EFFECTIVE_SAMPLES,
-    ScalarObservationSeries,
     ShadowingTrajectory,
-    VectorObservationSeries,
     _IncrementalSolve,
     _require_positive_eta,
     _rescaled,
@@ -61,11 +67,6 @@ __all__ = [
     "SequentialTracker",
 ]
 
-POLICY_COALESCE = "coalesce-gaps"
-POLICY_ZERO_WEIGHT = "zero-weight-placeholder"
-POLICY_FORECAST = "forecast-insert"
-POLICIES = (POLICY_COALESCE, POLICY_ZERO_WEIGHT, POLICY_FORECAST)
-
 
 @dataclass(frozen=True)
 class TrackerConfig:
@@ -79,10 +80,10 @@ class TrackerConfig:
     ``drop_weight`` are treated as unusable.
     """
 
-    eta: float = 1000.0
+    eta: float = TRACKER_ETA
     window: Optional[int] = None
     policy: str = POLICY_COALESCE
-    forecast_info_scale: float = 0.25
+    forecast_info_scale: float = FORECAST_INFO_SCALE
     drop_weight: float = DROP_WEIGHT
 
     def __post_init__(self) -> None:
@@ -148,21 +149,6 @@ def _fix_slot(time: float, estimate: RawPositionEstimate, raw_weight: float) -> 
     """The slot of a usable fix or a forecast, as the estimate was checked and decomposed."""
     return _Slot(time, estimate.position, estimate.information, estimate.root,
                  raw_weight, estimate.provenance)
-
-
-def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
-    """A scalar reading as an observed 1-D fix; None for a gap (``value`` None or ``info`` 0)."""
-    if value is None:
-        return None
-    value, info = float(value), float(info)
-    if not math.isfinite(value):
-        raise ShapeMismatch("scalar observation must be finite")
-    if not math.isfinite(info) or info < 0.0:
-        raise UsageError(f"scalar information must be finite and non-negative, got {info}")
-    if info == 0.0:
-        return None
-    return RawPositionEstimate(position=np.array([value]), information=np.array([[info]]),
-                               weight=1.0, provenance=PROVENANCE_OBSERVED)
 
 
 class _Newest(NamedTuple):
@@ -352,7 +338,9 @@ class SequentialTracker:
                 grid=grid, values=values[:, 0], weights=infos[:, 0, 0]
             )
             return solve_scalar(series, self.config.eta)
-        series = VectorObservationSeries(grid=grid, values=values, informations=infos)
+        # Each slot's information was checked and decomposed when its fix was made.
+        series = VectorObservationSeries._decomposed(
+            grid, values, infos, np.stack([slot.root for slot in gridded]))
         return solve_vector(series, self.config.eta)
 
     def _solve(self) -> None:

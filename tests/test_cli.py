@@ -876,14 +876,126 @@ class TestDeterministicRerun:
         assert info.value.code == 0
 
 
+@pytest.fixture(scope="module")
+def command_lines(tmp_path_factory):
+    """One argument list per command and kind of input, the inputs written once."""
+    root = tmp_path_factory.mktemp("commands")
+    gen, out = str(root / "gen"), str(root / "out")
+    for scenario in ("rednoise", "planar", "sonar", "range-bearing"):
+        assert run_cli("generate", scenario, "--seed", "0", "--out", gen) == 0
+    rb, sonar = os.path.join(gen, "range-bearing-seed0"), os.path.join(gen, "sonar-seed0")
+    assert run_cli("transform", f"{rb}-polar.csv", f"{rb}-manifest.json",
+                   "--out", str(root / "x")) == 0
+    pairs, pair_sites = str(root / "pairs.csv"), str(root / "pair-sites.json")
+    fileio.write_range_pairs(pairs, np.arange(4.0), np.full((4, 2), 3.0), np.full((4, 2), 0.01))
+    fileio.write_json(pair_sites, {"geometry": {"kind": "two-ranges",
+                                                "site_a": {"position": [0.0, 0.0]},
+                                                "site_b": {"position": [4.0, 0.0]}}})
+    rednoise = os.path.join(gen, "rednoise-seed0-observations.csv")
+    planar = os.path.join(gen, "planar-seed0-observations.csv")
+    return {
+        "generate rednoise": ["generate", "rednoise", "--seed", "1",
+                              "--missing-fraction", "0.2", "--out", out],
+        "generate planar": ["generate", "planar", "--seed", "1", "--out", out],
+        "generate sonar": ["generate", "sonar", "--seed", "1", "--out", out],
+        "generate range-bearing": ["generate", "range-bearing", "--seed", "1", "--out", out],
+        "transform range-bearing": ["transform", f"{rb}-polar.csv", f"{rb}-manifest.json",
+                                    "--out", out],
+        "transform two-bearings": ["transform", f"{sonar}-bearings.csv",
+                                   f"{sonar}-manifest.json", "--out", out],
+        "transform two-ranges": ["transform", pairs, pair_sites, "--out", out],
+        "track scalar": ["track", rednoise, "--out", out],
+        "track raw": ["track", str(root / "x" / "range-bearing-seed0-polar-raw-estimates.csv"),
+                      "--eta", "10", "--out", out],
+        "filter scalar": ["filter", rednoise, "--eta", "5", "--out", out],
+        "filter vector": ["filter", planar, "--eta", "5", "--out", out],
+        "filter xi": ["filter", planar, "--xi", "0.1", "--out", out],
+    }
+
+
+def fresh_modules(code, *argv):
+    """The JSON that ``code`` prints last, run with ``argv`` in a fresh interpreter."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# Prints the exit code and the loaded modules after ``cli.main(argv)``, or
+# after the import alone when there is no argument.
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+from shadowtrack import cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
 class TestStartup:
+    """Each command loads only the modules it runs, seen in a fresh interpreter."""
+
+    def test_package_import_loads_no_submodule(self):
+        modules = fresh_modules("import json, sys, shadowtrack; print(json.dumps(sorted(sys.modules)))")
+        assert "shadowtrack" in modules
+        assert [name for name in modules if name.startswith("shadowtrack.")] == []
+
     def test_cli_import_loads_no_scipy(self):
         """Importing SciPy costs about 0.3 s, more than the CLI's whole set-up."""
-        package_root = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        probe = ("import sys, shadowtrack.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert done.stdout.strip() == "[]"
+        _, modules = fresh_modules(COMMAND_PROBE)
+        assert [name for name in modules if name.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("argv", [[], ["--version"], ["--help"]],
+                             ids=["import", "version", "help"])
+    def test_import_version_and_help_load_no_numpy(self, argv):
+        code, modules = fresh_modules(COMMAND_PROBE, *argv)
+        assert code == (None if not argv else 0)
+        assert "shadowtrack.cli" in modules
+        assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+
+    @pytest.mark.parametrize("line, unused", [
+        *((f"generate {scenario}", ("solver", "tracker"))
+          for scenario in ("rednoise", "planar", "sonar", "range-bearing")),
+        *((f"transform {kind}", ("solver", "tracker", "scenarios"))
+          for kind in ("range-bearing", "two-bearings", "two-ranges")),
+        *((f"track {kind}", ("scenarios",)) for kind in ("scalar", "raw")),
+        *((f"filter {kind}", ("scenarios", "tracker")) for kind in ("scalar", "vector", "xi")),
+    ])
+    def test_a_command_loads_only_what_it_runs(self, command_lines, line, unused):
+        """Run first in a fresh interpreter, every command path also reaches the
+        library functions it calls through the module's import-on-read hook."""
+        code, modules = fresh_modules(COMMAND_PROBE, *command_lines[line])
+        assert code == 0
+        assert "numpy" in modules
+        assert [name for name in modules if name.split(".")[-1] in unused] == []
+
+    @pytest.mark.parametrize("name, line", [
+        ("gen_scalar_rednoise", "generate rednoise"),
+        ("gen_planar_path", "generate planar"),
+        ("gen_two_sensor_bearings", "generate sonar"),
+        ("gen_range_bearing", "generate range-bearing"),
+        ("range_bearing_to_position", "transform range-bearing"),
+        ("two_bearings_to_position", "transform two-bearings"),
+        ("two_ranges_to_position", "transform two-ranges"),
+        ("solve_scalar", "filter scalar"),
+        ("solve_vector", "filter vector"),
+        ("search_eta", "filter xi"),
+    ])
+    def test_a_command_calls_what_its_module_attribute_holds(self, command_lines, monkeypatch,
+                                                             name, line):
+        """The library functions are ``cli`` attributes, read on first use, and
+        each command calls the attribute, so a patch or a wrapper on it is seen."""
+        library = getattr(cli, name)
+        assert library is getattr(sys.modules[library.__module__], name)
+        calls = []
+        monkeypatch.setattr(cli, name,
+                            lambda *args, **kwargs: calls.append(name) or library(*args, **kwargs))
+        assert run_cli(*command_lines[line]) == 0
+        assert calls

@@ -38,6 +38,7 @@ from shadowtrack import (
     solve_vector,
 )
 from shadowtrack import solver
+from shadowtrack.matrices import _symmetrized
 from shadowtrack.solver import ShadowingTrajectory
 
 # Singular values below this fraction of the largest count as zero in the
@@ -523,7 +524,7 @@ def dense_lu_sweep(taus, values, infos, eta, slopes=False, refinements=0):
 
 def sweep_of(taus, values, infos, eta):
     """``solver._sweep`` on (m, d) values with (m, d, d) informations."""
-    return solver._sweep(taus, values, solver._symmetrized(infos)[1], eta)
+    return solver._sweep(taus, values, _symmetrized(infos)[1], eta)
 
 
 class TestDenseReference:
@@ -1234,7 +1235,7 @@ class TestValidation:
         factors[:4, :, -1] = 0.0  # rank-deficient informations
         infos = factors @ factors.transpose(0, 2, 1)
         infos[4] = 0.0
-        sym, roots = solver._symmetrized(infos)
+        sym, roots = _symmetrized(infos)
         assert np.array_equal(sym, infos)
         assert np.array_equal(roots[4], np.zeros((dim, dim)))
         gram = roots.transpose(0, 2, 1) @ roots

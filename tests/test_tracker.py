@@ -778,6 +778,32 @@ class TestIncrementalFullHistory:
         emitted = {POLICY_FORECAST: PROVENANCE_FORECAST}.get(policy, PROVENANCE_DROPPED)
         assert seen == {PROVENANCE_OBSERVED, emitted}
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_trajectory_reuses_the_slots_roots(self, monkeypatch, policy):
+        """Reading ``trajectory`` decomposes no information again, and fits what
+        a series checked and decomposed afresh from the same slots fits, bit for bit."""
+        tracker = SequentialTracker(TrackerConfig(eta=10.0, policy=policy))
+        times, fixes = maneuvering_stream(2, seed=3, n=200, decades=1.0)
+        for t, fix in zip(times, fixes):
+            tracker.step(float(t), fix)
+        calls = []
+        decompose = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *args, **kwargs: calls.append(1) or decompose(*args, **kwargs))
+        got = tracker.trajectory
+        assert calls == []
+        monkeypatch.undo()
+        slots = tracker._solved
+        fresh = VectorObservationSeries(
+            grid=build_time_grid([slot.time for slot in slots]),
+            values=np.stack([slot.value for slot in slots]),
+            informations=np.stack([slot.information for slot in slots]),
+        )
+        want = solve_vector(fresh, 10.0)
+        assert got.positions.shape == (len(slots), 2)
+        assert np.array_equal(got.positions, want.positions)
+        assert np.array_equal(got.velocities, want.velocities)
+
     @pytest.mark.parametrize("policy", [POLICY_COALESCE, POLICY_ZERO_WEIGHT])
     def test_trajectory_outlives_a_thinned_window(self, policy):
         """Read only after the window has thinned below three usable fixes,
