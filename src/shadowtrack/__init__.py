@@ -33,7 +33,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each module's public names, as its own __all__ declares them.
+# The one map from each public name to the module that defines and lists it.
 _EXPORTS = {
     "errors": (
         "ShadowTrackError", "UsageError", "DataError", "NumericalError", "IOFailure",
@@ -43,37 +43,35 @@ _EXPORTS = {
         "RangeTooSmall", "CoincidentSites", "OutOfOrderTimestamp", "WindowTooSparse",
         "NoTrajectoryYet", "UnknownScenario", "SchemaError",
     ),
+    "constants": (
+        "SCENARIO_IDS", "MODE_IGNORE_CORRELATION", "MODE_PROPAGATE", "POLICY_COALESCE",
+        "POLICY_ZERO_WEIGHT", "POLICY_FORECAST", "POLICIES",
+    ),
     "matrices": (
         "TimeGrid", "FilterMatrices", "IdentityReport", "build_time_grid",
         "build_filter_matrices", "verify_identities",
     ),
+    "series": ("ScalarObservationSeries", "VectorObservationSeries"),
     "solver": (
-        "ScalarObservationSeries", "VectorObservationSeries", "ShadowingTrajectory",
-        "OracleSolution", "EtaSearchResult", "solve_scalar", "solve_vector",
-        "rms_acceleration", "search_eta", "evaluate_spline", "evaluate_spline_velocity",
-        "solve_kkt_oracle", "oracle_residuals",
+        "ShadowingTrajectory", "OracleSolution", "EtaSearchResult", "solve_scalar",
+        "solve_vector", "rms_acceleration", "search_eta", "evaluate_spline",
+        "evaluate_spline_velocity", "solve_kkt_oracle", "oracle_residuals",
     ),
     "geometry": (
-        "MODE_IGNORE_CORRELATION", "MODE_PROPAGATE", "PROVENANCE_OBSERVED",
-        "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "SensorSite", "PolarObservation",
-        "RawPositionEstimate", "wrap_bearing", "rcond_1norm", "propagate_information",
-        "range_bearing_to_position", "two_bearings_to_position", "two_ranges_to_position",
+        "PROVENANCE_OBSERVED", "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "SensorSite",
+        "PolarObservation", "RawPositionEstimate", "wrap_bearing", "rcond_1norm",
+        "propagate_information", "range_bearing_to_position", "two_bearings_to_position",
+        "two_ranges_to_position",
     ),
-    "tracker": (
-        "POLICIES", "POLICY_COALESCE", "POLICY_ZERO_WEIGHT", "POLICY_FORECAST",
-        "TrackerConfig", "TrackPoint", "SequentialTracker",
-    ),
+    "tracker": ("TrackerConfig", "TrackPoint", "SequentialTracker"),
     "scenarios": (
-        "SCENARIO_IDS", "ScalarScenario", "PlanarScenario", "TwoSensorBearingScenario",
+        "ScalarScenario", "PlanarScenario", "TwoSensorBearingScenario",
         "RangeBearingScenario", "planar_truth", "gen_scalar_rednoise", "gen_planar_path",
         "gen_two_sensor_bearings", "gen_range_bearing", "apply_missing",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (
-    "cli", "constants", "errors", "fileio", "geometry", "matrices", "scenarios", "series",
-    "solver", "tracker",
-)
+_SUBMODULES = (*_EXPORTS, "cli", "fileio")
 
 __all__ = ["__version__", *_HOME]
 

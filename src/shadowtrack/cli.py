@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
@@ -55,20 +54,14 @@ if TYPE_CHECKING:
 # Each command imports the modules it runs, so ``--version`` and ``--help``
 # load no numpy, ``generate`` and ``transform`` no solver or tracker, and
 # ``track`` and ``filter`` no scenarios. The library functions below are
-# attributes of this module, imported on first read (PEP 562). Commands call
-# them as ``_this.<name>``, because a bare name never reaches that hook; so
-# each call goes to whatever a patch or a wrapper has put on the attribute.
+# attributes of this module, read from the package on first use (PEP 562),
+# whose name table imports each from its home module. Commands call them as
+# ``_this.<name>``, because a bare name never reaches that hook; so each call
+# goes to whatever a patch or a wrapper has put on the attribute.
 _LIBRARY = {
-    "solve_scalar": "solver",
-    "solve_vector": "solver",
-    "search_eta": "solver",
-    "range_bearing_to_position": "geometry",
-    "two_bearings_to_position": "geometry",
-    "two_ranges_to_position": "geometry",
-    "gen_scalar_rednoise": "scenarios",
-    "gen_planar_path": "scenarios",
-    "gen_two_sensor_bearings": "scenarios",
-    "gen_range_bearing": "scenarios",
+    "solve_scalar", "solve_vector", "search_eta",
+    "range_bearing_to_position", "two_bearings_to_position", "two_ranges_to_position",
+    "gen_scalar_rednoise", "gen_planar_path", "gen_two_sensor_bearings", "gen_range_bearing",
 }
 _this = sys.modules[__name__]
 
@@ -76,7 +69,7 @@ _this = sys.modules[__name__]
 def __getattr__(name: str):
     if name not in _LIBRARY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LIBRARY[name]}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value  # bound as an import would bind it; a patch replaces it
     return value
 

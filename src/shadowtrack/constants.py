@@ -1,10 +1,15 @@
 """Names and defaults the command line offers, importable without numpy.
 
-Each is stated once, here. The modules that own them (``scenarios``,
-``geometry``, ``tracker``) import them from this module and re-export
-them, so ``shadow-track`` builds its argument parser, and answers
+Each is stated once, here, and only this module lists the public ones.
+``scenarios``, ``geometry`` and ``tracker`` import them and keep them as
+attributes, so ``shadow-track`` builds its argument parser, and answers
 ``--version`` and ``--help``, without loading numpy or the solver.
 """
+
+__all__ = [
+    "SCENARIO_IDS", "MODE_IGNORE_CORRELATION", "MODE_PROPAGATE",
+    "POLICY_COALESCE", "POLICY_ZERO_WEIGHT", "POLICY_FORECAST", "POLICIES",
+]
 
 SCENARIO_IDS = ("rednoise", "planar", "sonar", "range-bearing")
 

@@ -26,8 +26,6 @@ from .errors import (
 from .matrices import _frozen, _symmetrized
 
 __all__ = [
-    "MODE_IGNORE_CORRELATION",
-    "MODE_PROPAGATE",
     "PROVENANCE_OBSERVED",
     "PROVENANCE_FORECAST",
     "PROVENANCE_DROPPED",

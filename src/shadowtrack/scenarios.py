@@ -26,14 +26,13 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .constants import SCENARIO_IDS
+from .constants import SCENARIO_IDS  # noqa: F401  (re-exported; listed by ``constants``)
 from .errors import DataError, UsageError
 from .geometry import PolarObservation, SensorSite, _segment_path, wrap_bearing
 from .matrices import _frozen, build_time_grid
 from .series import ScalarObservationSeries, VectorObservationSeries
 
 __all__ = [
-    "SCENARIO_IDS",
     "ScalarScenario",
     "PlanarScenario",
     "TwoSensorBearingScenario",

@@ -2,7 +2,7 @@
 
 The module needs numpy alone and holds no solver code, so reading and
 writing observation files, or generating scenarios, never loads the
-solver. ``solver`` re-exports both classes.
+solver. ``solver`` keeps both as attributes.
 """
 
 from __future__ import annotations

@@ -68,12 +68,10 @@ from .errors import (
 # layer of the master system, which the structured solve no longer forms.
 from .matrices import TimeGrid, _frozen, build_filter_matrices  # noqa: F401
 # The series classes live in ``series``, which holds no solver code, and stay
-# importable from here.
+# importable from here, though only ``series`` lists them.
 from .series import ScalarObservationSeries, VectorObservationSeries
 
 __all__ = [
-    "ScalarObservationSeries",
-    "VectorObservationSeries",
     "ShadowingTrajectory",
     "OracleSolution",
     "EtaSearchResult",
@@ -98,8 +96,16 @@ SEARCH_REL_TOL = 2e-5
 SEARCH_MAX_ITERATIONS = 100
 
 
+def _real(value) -> float:
+    """``float(value)``, reading an integer past the float range as an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_positive_eta(eta: float) -> float:
-    eta = float(eta)
+    eta = _real(eta)
     if not np.isfinite(eta) or eta <= 0.0:
         raise NonPositiveEta(f"eta must be a positive finite number, got {eta!r}")
     return eta
@@ -642,7 +648,7 @@ def search_eta(obs, xi_target: float, eta_lo: float, eta_hi: float) -> EtaSearch
     eta_hi is returned by convention. The result carries the fit at the
     returned eta, so no caller need solve it again.
     """
-    xi_target = float(xi_target)
+    xi_target = _real(xi_target)
     if not (np.isfinite(xi_target) and xi_target >= 0.0):
         raise UsageError(f"xi target must be a finite non-negative number, got {xi_target!r}")
     eta_lo, eta_hi = _require_bracket(eta_lo, eta_hi)

@@ -15,6 +15,7 @@ solved step, built when it is read.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import takewhile
@@ -50,6 +51,7 @@ from .series import MIN_EFFECTIVE_SAMPLES, ScalarObservationSeries, VectorObserv
 from .solver import (
     ShadowingTrajectory,
     _IncrementalSolve,
+    _real,
     _require_positive_eta,
     _rescaled,
     evaluate_spline,
@@ -58,10 +60,6 @@ from .solver import (
 )
 
 __all__ = [
-    "POLICIES",
-    "POLICY_COALESCE",
-    "POLICY_ZERO_WEIGHT",
-    "POLICY_FORECAST",
     "TrackerConfig",
     "TrackPoint",
     "SequentialTracker",
@@ -89,19 +87,20 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         eta = _require_positive_eta(self.eta)
         if self.window is not None:
-            window = float(self.window)
-            if not (window.is_integer() and window >= MIN_EFFECTIVE_SAMPLES):
+            whole = isinstance(self.window, numbers.Integral)  # exact at any size
+            window = self.window if whole else float(self.window)
+            if not (window % 1 == 0 and window >= MIN_EFFECTIVE_SAMPLES):
                 raise UsageError(f"window must be a whole number of at least "
                                  f"{MIN_EFFECTIVE_SAMPLES} steps, got {self.window!r}")
             object.__setattr__(self, "window", int(window))
         if self.policy not in POLICIES:
             raise UsageError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        gamma = float(self.forecast_info_scale)
+        gamma = _real(self.forecast_info_scale)
         if not (0.0 < gamma <= 1.0):
             raise UsageError(
                 f"forecast information scale must lie in (0, 1], got {gamma}"
             )
-        drop = float(self.drop_weight)
+        drop = _real(self.drop_weight)
         if not (0.0 <= drop < 1.0):
             raise UsageError(f"drop weight must lie in [0, 1), got {drop}")
         object.__setattr__(self, "eta", eta)

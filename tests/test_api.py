@@ -1,5 +1,6 @@
 """The package's public names: each module declares its own, the package re-exports them."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,9 +9,9 @@ import sys
 import pytest
 
 import shadowtrack
-from shadowtrack import errors, geometry, matrices, scenarios, series, solver, tracker
+from shadowtrack import constants, errors, geometry, matrices, scenarios, series, solver, tracker
 
-MODULES = (errors, matrices, solver, geometry, tracker, scenarios)
+MODULES = (errors, constants, matrices, series, solver, geometry, tracker, scenarios)
 
 
 def test_package_exports_the_union_of_the_module_lists():
@@ -22,6 +23,16 @@ def test_package_exports_the_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(shadowtrack, name) is getattr(module, name)
+
+
+def test_each_name_is_filed_under_the_module_that_defines_it():
+    assert {module: set(names) for module, names in shadowtrack._EXPORTS.items()} == {
+        module.__name__.rpartition(".")[2]: set(module.__all__) for module in MODULES}
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
 
 
 def test_dir_covers_the_exports_and_the_modules():
@@ -42,13 +53,36 @@ def test_series_classes_are_one_object_wherever_imported():
         assert getattr(shadowtrack, name) is getattr(series, name)
 
 
-def test_star_import_in_a_fresh_interpreter():
+def fresh_json(probe):
+    """The JSON that ``probe`` prints, run in a fresh interpreter."""
     package_root = os.path.dirname(os.path.dirname(shadowtrack.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    probe = ("from shadowtrack import *\n"
-             "import json, shadowtrack\n"
-             "print(json.dumps([n for n in shadowtrack.__all__ if n not in globals()]))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_star_import_in_a_fresh_interpreter():
+    assert fresh_json("from shadowtrack import *\n"
+                      "import json, shadowtrack\n"
+                      "print(json.dumps([n for n in shadowtrack.__all__ "
+                      "if n not in globals()]))") == []
+
+
+def loaded_after(statement):
+    return fresh_json(f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+
+
+def test_the_constants_load_only_their_own_module():
+    modules = loaded_after("from shadowtrack import POLICIES, MODE_PROPAGATE, SCENARIO_IDS")
+    assert [name for name in modules if name.startswith("shadowtrack")] == [
+        "shadowtrack", "shadowtrack.constants"]
+    assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+
+
+def test_the_series_classes_load_no_solver():
+    modules = loaded_after("from shadowtrack import ScalarObservationSeries, "
+                           "VectorObservationSeries")
+    assert "shadowtrack.series" in modules
+    assert "shadowtrack.solver" not in modules

@@ -913,6 +913,35 @@ def command_lines(tmp_path_factory):
     }
 
 
+# Each numeric flag, as a template per command line of ``command_lines``.
+NUMERIC_FLAGS = {
+    "generate rednoise": ("--seed {}", "--missing-fraction {}"),
+    "filter scalar": ("--eta {}",),
+    "filter xi": ("--xi {}", "--bracket {} 1e8", "--bracket 1e-4 {}"),
+    "track scalar": ("--eta {}", "--window {}", "--gamma {}", "--drop-weight {}"),
+}
+INTEGER_FLAGS = (("generate rednoise", "--seed {}"), ("track scalar", "--window {}"))
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("line, extra", [
+        *(pytest.param(line, flag.format(value).split(), id=f"{line} {flag.format(value)}")
+          for line, flags in NUMERIC_FLAGS.items() for flag in flags
+          for value in ("nan", "inf", "-inf", "-1", "0", "1e-320", "1e308")),
+        *(pytest.param(line, flag.format(sign + "1" + "0" * 400).split(),
+                       id=f"{line} {flag.format(sign + '10**400')}")
+          for line, flag in INTEGER_FLAGS for sign in ("", "-")),
+    ])
+    def test_every_value_exits_with_a_documented_code(self, command_lines, capsys, line, extra):
+        """Extreme values, and integers past the float range, end in exit 0, 2, 3 or 4."""
+        try:
+            code = run_cli(*command_lines[line], *extra)
+        except SystemExit as exc:  # argparse refused the value
+            code = exc.code
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 def fresh_modules(code, *argv):
     """The JSON that ``code`` prints last, run with ``argv`` in a fresh interpreter."""
     package_root = os.path.dirname(os.path.dirname(cli.__file__))

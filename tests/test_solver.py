@@ -1200,6 +1200,22 @@ class TestValidation:
             with pytest.raises(NonPositiveEta):
                 solve_scalar(obs, eta)
 
+    @pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+    def test_integers_past_the_float_range(self, huge):
+        """Read as an infinity of their sign, they raise the documented errors."""
+        obs = scalar_series([0.0, 1.0, 2.0, 3.0], np.zeros(4))
+        planar = VectorObservationSeries(grid=obs.grid, values=np.zeros((4, 2)),
+                                         informations=np.tile(np.eye(2), (4, 1, 1)))
+        with pytest.raises(NonPositiveEta):
+            solve_scalar(obs, huge)
+        with pytest.raises(NonPositiveEta):
+            solve_vector(planar, huge)
+        for bracket in ((huge, 1e6), (1e-2, huge)):
+            with pytest.raises(NonPositiveEta):
+                search_eta(obs, 0.1, *bracket)
+        with pytest.raises(UsageError, match="xi target"):
+            search_eta(obs, huge, 1e-2, 1e6)
+
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeights):
             scalar_series([0.0, 1.0, 2.0, 3.0], np.zeros(4), [1.0, 1.0, 0.0, 0.0])

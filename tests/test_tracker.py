@@ -9,6 +9,7 @@ from shadowtrack import (
     POLICIES,
     DataError,
     IndefiniteInformation,
+    NonPositiveEta,
     NoTrajectoryYet,
     OutOfOrderTimestamp,
     POLICY_COALESCE,
@@ -80,6 +81,33 @@ class TestConfig:
             with pytest.raises(UsageError, match="drop weight"):
                 TrackerConfig(drop_weight=bad)
         TrackerConfig(drop_weight=0.0)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_integers_past_the_float_range(self, sign):
+        """An integer window is checked as an integer; the other fields read it as an infinity."""
+        huge = sign * 10 ** 400
+        if sign > 0:
+            assert TrackerConfig(window=huge).window == huge
+        else:
+            with pytest.raises(UsageError, match="window"):
+                TrackerConfig(window=huge)
+        with pytest.raises(NonPositiveEta):
+            TrackerConfig(eta=huge)
+        with pytest.raises(UsageError, match="forecast information scale"):
+            TrackerConfig(forecast_info_scale=huge)
+        with pytest.raises(UsageError, match="drop weight"):
+            TrackerConfig(drop_weight=huge)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_window_longer_than_the_stream_tracks_as_full_history(self, policy):
+        times, fixes = maneuvering_stream(2, seed=4, n=40)
+        runs = [SequentialTracker(TrackerConfig(eta=1.0, window=window, policy=policy))
+                for window in (None, 10 ** 400)]
+        for t, fix in zip(times, fixes):
+            full, long = (tracker.step(float(t), fix) for tracker in runs)
+            assert (full.provenance, full.usable_points) == (long.provenance, long.usable_points)
+            for field in ("position", "velocity", "acceleration"):
+                assert np.array_equal(getattr(full, field), getattr(long, field))
 
 
 class TestWarmUpAndExactness:
