@@ -167,14 +167,37 @@ def _stem(path: str) -> str:
     return base[: -len(".csv")] if base.endswith(".csv") else os.path.splitext(base)[0]
 
 
+def _check_names(out_dir: str, names: list[str]) -> None:
+    """Raise IOFailure for the first name longer than ``out_dir``'s file system takes.
+
+    The limit is read from the nearest existing directory on the way to
+    ``out_dir``, which need not exist yet; 255 bytes where none can be read.
+    """
+    probe = os.path.abspath(out_dir)
+    while not os.path.isdir(probe):
+        probe = os.path.dirname(probe)
+    try:
+        limit = os.pathconf(probe, "PC_NAME_MAX")
+    except (AttributeError, OSError):  # no pathconf on Windows
+        limit = 255
+    for name in names:
+        if len(os.fsencode(name)) > limit > 0:  # -1 means no limit
+            raise IOFailure(
+                f"cannot write {name}: {len(os.fsencode(name))} bytes, past the file "
+                f"system's limit of {limit} bytes on a file name"
+            )
+
+
 def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **sections) -> int:
     """End a run: write each output stamped with the manifest digest, then the manifest.
 
     ``outputs`` maps each output key to ``(basename, writer, *data)``, and
     each file is written as ``writer(path, *data, manifest_digest=...)``.
     ``sections`` are further top-level manifest entries. The digest is taken
-    before anything is written, so a manifest that is not strict JSON raises
-    SchemaError with no output written. Prints the output paths in key order.
+    and every name is checked against the file system's limit before anything
+    is written, so a manifest that is not strict JSON raises SchemaError, and
+    a name past the limit IOFailure, with no output written. Prints the
+    output paths in key order.
     """
     from . import fileio
 
@@ -188,6 +211,7 @@ def _publish(args, arguments: dict, manifest_name: str, outputs: dict, **section
     }
     digest = fileio.manifest_digest(manifest)
     out_dir = args.out
+    _check_names(out_dir, [manifest_name, *manifest["outputs"].values()])
     if out_dir and not os.path.isdir(out_dir):
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -50,9 +50,13 @@ _SONAR_RUNS = (((-3.0, 3.0), (3.0, 1.0)), ((-3.0, -2.0), (3.0, -1.0)))
 
 
 def _check_seed(seed: int) -> int:
+    # The seed goes whole into every output name; below 2**128 (39 digits)
+    # the longest name the pipeline derives stays under 100 bytes.
     seed = int(seed)
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
+    if seed >= 2**128:
+        raise UsageError(f"seed must be below 2**128, got {seed}")
     return seed
 
 

@@ -64,9 +64,7 @@ from .errors import (
     TimeOutOfRange,
     UsageError,
 )
-# build_filter_matrices stays importable from here: it is the operator
-# layer of the master system, which the structured solve no longer forms.
-from .matrices import TimeGrid, _frozen, build_filter_matrices  # noqa: F401
+from .matrices import TimeGrid, _frozen, build_filter_matrices
 # The series classes live in ``series``, which holds no solver code, and stay
 # importable from here, though only ``series`` lists them.
 from .series import ScalarObservationSeries, VectorObservationSeries
@@ -763,8 +761,9 @@ def evaluate_spline_velocity(traj: ShadowingTrajectory, t):
 def solve_kkt_oracle(obs: ScalarObservationSeries, eta: float) -> OracleSolution:
     """Solve the full stationarity system directly, duals included.
 
-    Unknowns are stacked as [p (n+1), v (n+1), a (n), lambda (n), mu (n)]
-    and every stationarity and dynamics equation is a dense row, so the
+    Unknowns are stacked as [p (n+1), v (n+1), a (n), lambda (n), mu (n)].
+    The dense matrix is assembled by blocks from the operator layer's first
+    differences E and D and shares no code with the structured solve; the
     result is exact up to linear-solver rounding. Quadratic in memory and
     cubic in time, hence capped at small windows; this is a testing
     oracle, not the production path.
@@ -774,50 +773,25 @@ def solve_kkt_oracle(obs: ScalarObservationSeries, eta: float) -> OracleSolution
     n = grid.n
     if n > 200:
         raise UsageError(f"oracle supports n <= 200 gaps, got {n}")
-    taus = grid.taus
-    w = obs.weights
-    values = obs.values
-    size = 5 * n + 2
-    Z = np.zeros((size, size))
-    rhs = np.zeros(size)
-    P0, V0, A0, L0, M0 = 0, n + 1, 2 * n + 2, 3 * n + 2, 4 * n + 2
-    row = 0
-    # Position stationarity: w_i p_i + (extended difference @ lambda)_i = w_i obs_i.
-    for i in range(n + 1):
-        Z[row, P0 + i] = w[i]
-        if i < n:
-            Z[row, L0 + i] -= 1.0
-        if i >= 1:
-            Z[row, L0 + i - 1] += 1.0
-        rhs[row] = w[i] * values[i]
-        row += 1
-    # Velocity stationarity: (difference @ mu)_i = tau_i lambda_i, and mu_{n-1} = 0.
-    for i in range(n):
-        Z[row, M0 + i] -= 1.0
-        if i >= 1:
-            Z[row, M0 + i - 1] += 1.0
-        Z[row, L0 + i] -= taus[i]
-        row += 1
-    Z[row, M0 + n - 1] = 1.0
-    row += 1
-    # Acceleration stationarity: 2 eta a_i = tau_i lambda_i / 2 + mu_i.
-    for i in range(n):
-        Z[row, A0 + i] = 2.0 * eta
-        Z[row, L0 + i] = -0.5 * taus[i]
-        Z[row, M0 + i] = -1.0
-        row += 1
-    # Interval dynamics as hard constraints.
-    for i in range(n):
-        Z[row, P0 + i + 1] = 1.0
-        Z[row, P0 + i] = -1.0
-        Z[row, V0 + i] = -taus[i]
-        Z[row, A0 + i] = -0.5 * taus[i] ** 2
-        row += 1
-    for i in range(n):
-        Z[row, V0 + i + 1] = 1.0
-        Z[row, V0 + i] = -1.0
-        Z[row, A0 + i] = -taus[i]
-        row += 1
+    fm = build_filter_matrices(grid)
+    w, tau, eye = obs.weights, np.diag(grid.taus), np.eye(n)
+    Z = np.zeros((5 * n + 2, 5 * n + 2))
+    rhs = np.zeros(5 * n + 2)
+    # The unknowns' blocks also name the row blocks: the stationarity of p, v
+    # and a, then the interval dynamics that lambda and mu enforce. Each
+    # statement below fills one block row.
+    p, v, a = slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, 3 * n + 2)
+    lam, mu = slice(3 * n + 2, 4 * n + 2), slice(4 * n + 2, 5 * n + 2)
+    gaps = slice(n + 1, 2 * n + 1)  # v but its last entry: one velocity per gap
+    # Position stationarity: W p + E lambda = W obs.
+    Z[p, p], Z[p, lam], rhs[p] = np.diag(w), fm.E, w * obs.values
+    # Velocity stationarity: D mu = tau lambda on each gap, and mu_{n-1} = 0.
+    Z[gaps, lam], Z[gaps, mu], Z[v.stop - 1, mu.stop - 1] = -tau, fm.D, 1.0
+    # Acceleration stationarity: 2 eta a = tau lambda / 2 + mu.
+    Z[a, a], Z[a, lam], Z[a, mu] = 2.0 * eta * eye, -0.5 * tau, -eye
+    # Interval dynamics: E^T differences consecutive positions and velocities.
+    Z[lam, p], Z[lam, gaps], Z[lam, a] = fm.E.T, -tau, np.diag(-0.5 * grid.taus ** 2)
+    Z[mu, v], Z[mu, a] = fm.E.T, -tau
     try:
         sol = np.linalg.solve(Z, rhs)
     except np.linalg.LinAlgError as exc:
@@ -829,11 +803,11 @@ def solve_kkt_oracle(obs: ScalarObservationSeries, eta: float) -> OracleSolution
         raise SingularSystem("stationarity solve produced non-finite values")
     return OracleSolution(
         grid=grid, eta=eta,
-        positions=_frozen(sol[P0:P0 + n + 1]),
-        velocities=_frozen(sol[V0:V0 + n + 1]),
-        accelerations=_frozen(sol[A0:A0 + n]),
-        lambdas=_frozen(sol[L0:L0 + n]),
-        mus=_frozen(sol[M0:M0 + n]),
+        positions=_frozen(sol[p]),
+        velocities=_frozen(sol[v]),
+        accelerations=_frozen(sol[a]),
+        lambdas=_frozen(sol[lam]),
+        mus=_frozen(sol[mu]),
     )
 
 

@@ -7,7 +7,8 @@ except ImportError:  # hypothesis is an optional test dependency
 else:
     # CI selects this profile with --hypothesis-profile=ci: the same
     # examples on every run, no example database left behind, and no
-    # per-example deadline on a runner whose speed varies. Tests set only
-    # their example counts, so a run without the option draws fresh
-    # examples under hypothesis's defaults.
+    # per-example deadline on a runner whose speed varies. Tests set their
+    # example counts and deadline=None themselves, since a busy host can
+    # stretch an example past the default 200 ms; a run without the option
+    # draws fresh examples under hypothesis's other defaults.
     settings.register_profile("ci", derandomize=True, database=None, deadline=None)

@@ -120,7 +120,10 @@ class TestGenerate:
         ["rednoise", "--missing-fraction", "-0.5"],
         ["rednoise", "--missing-fraction", "nan"],
         ["rednoise", "--seed", "-1"],
-    ], ids=["fraction-for-planar", "negative-fraction", "nan-fraction", "negative-seed"])
+        ["rednoise", "--seed", str(2**128)],
+        ["rednoise", "--seed", str(10**400)],
+    ], ids=["fraction-for-planar", "negative-fraction", "nan-fraction", "negative-seed",
+            "seed-2**128", "seed-10**400"])
     def test_invalid_arguments_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run_cli("generate", *argv, "--out", str(out)) == 2
@@ -391,6 +394,18 @@ class TestTrack:
         assert table.strings("provenance")[4] == "forecast-inserted"
         for name in ("px", "py", "vx", "vy", "ax", "ay"):
             assert np.isfinite(table.floats(name)).all()
+
+    def test_name_past_the_file_system_limit_exits_3_writing_nothing(self, tmp_path, capsys):
+        """A 240-byte stem fits the 250-byte track CSV but not its 260-byte manifest."""
+        path = tmp_path / ("s" * 240 + ".csv")
+        fileio.write_table(str(path), fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
+                           [(t, t, 0.5 * t, 1.0, 0.0, 1.0, 1.0, PROVENANCE_OBSERVED)
+                            for t in np.arange(4.0)])
+        out = tmp_path / "trk"
+        assert run_cli("track", str(path), "--eta", "10", "--out", str(out)) == 3
+        assert f"cannot write {'s' * 240}-track-manifest.json: 260 bytes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_schema_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "truth.csv")
@@ -810,7 +825,7 @@ class TestReaderFuzz:
                 texts = texts[1:]  # an empty value cell is a gap
             return column, draw(st.sampled_from(texts) | words)
 
-        @settings(max_examples=25)
+        @settings(max_examples=25, deadline=None)
         @given(row=st.integers(0, READER_TIMES.size - 1), cell=corruptions())
         def check(row, cell):
             column, text = cell
@@ -844,6 +859,13 @@ RERUN_CHAINS = {
         ("transform", "{0}/range-bearing-seed7-polar.csv",
          "{0}/range-bearing-seed7-manifest.json", "--mode", "propagate"),
         ("track", "{1}/range-bearing-seed7-polar-raw-estimates.csv"),
+    ],
+    # The largest seed gives the longest names the pipeline derives.
+    "range-bearing-largest-seed": [
+        ("generate", "range-bearing", "--seed", str(2**128 - 1)),
+        ("transform", f"{{0}}/range-bearing-seed{2**128 - 1}-polar.csv",
+         f"{{0}}/range-bearing-seed{2**128 - 1}-manifest.json"),
+        ("track", f"{{1}}/range-bearing-seed{2**128 - 1}-polar-raw-estimates.csv"),
     ],
     "planar-filter-xi": [
         ("generate", "planar", "--seed", "7"),

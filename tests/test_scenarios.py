@@ -286,6 +286,13 @@ class TestParameterChecks:
         with pytest.raises(UsageError, match="seed must be a non-negative integer"):
             generate(-1)
 
+    @pytest.mark.parametrize("generate", GENERATORS)
+    def test_seed_is_below_2_to_the_128(self, generate):
+        """A seed goes whole into every output name, which bounds its length."""
+        assert generate(2**128 - 1).seed == 2**128 - 1
+        with pytest.raises(UsageError, match=r"seed must be below 2\*\*128, got 3402"):
+            generate(2**128)
+
     @pytest.mark.parametrize("generate, keyword", [
         (gen_scalar_rednoise, "noise_sd"),
         (gen_scalar_rednoise, "drift_sd"),

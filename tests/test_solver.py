@@ -431,6 +431,68 @@ class TestAffineShift:
                     assert np.abs(fits[1] - fits[0] - line).max() <= 1e-10 * scale
 
 
+def batch_invariance_errors(dim, time_reversed, seed):
+    """Errors of four exact invariances of one batch fit, each over max|p| of the fit it expects.
+
+    Each follows from the objective, the sum of (p - y)^T W (p - y) / 2 and
+    eta tau |a|^2: time scaled by c with eta scaled by c^3 leaves the
+    positions unchanged; values scaled by s scale the fit by s; values Q y with
+    informations Q W Q^T, for a random orthogonal Q, give Q p; and swapping the
+    axes swaps the fit. The grid has 10 to 99 samples with gaps log-uniform over
+    up to three decades, correlated informations and 10% zero slots; c is drawn
+    from 1e-2 to 1e2, s from 1e-3 to 1e3 and eta from 1e-3 to 1e6.
+    """
+    rng = np.random.default_rng([71, dim, seed])
+    m = int(rng.integers(10, 100))
+    times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(0.0, rng.uniform(0.0, 3.0),
+                                                                  m - 1))])
+    values = np.cumsum(rng.standard_normal((m, dim)), axis=0)
+    factors = rng.standard_normal((m, dim, dim))
+    infos = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(dim)
+    infos[rng.choice(m, m // 10, replace=False)] = 0.0
+    c, s, eta = 10.0 ** rng.uniform([-2.0, -3.0, -3.0], [2.0, 3.0, 6.0])
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    swap = np.arange(dim)[::-1]
+
+    def fit(times, values, infos, eta):
+        obs = VectorObservationSeries(grid=build_time_grid(times), values=values,
+                                      informations=infos)
+        return solve_vector(obs, eta, time_reversed).positions
+
+    p = fit(times, values, infos, eta)
+    pairs = {
+        "time": (fit(c * times, values, infos, eta * c ** 3), p),
+        "values": (fit(times, s * values, infos, eta), s * p),
+        "rotation": (fit(times, values @ q.T, q @ infos @ q.T, eta), p @ q.T),
+        "swap": (fit(times, values[:, swap], infos[:, swap][:, :, swap], eta), p[:, swap]),
+    }
+    return {name: np.abs(got - want).max() / np.abs(want).max()
+            for name, (got, want) in pairs.items()}
+
+
+class TestBatchInvariances:
+    """Time, value, rotation and axis-swap invariances of batch fits.
+
+    None holds bitwise, since the transformed data round differently. Over
+    seeds 0-299 for each dimension and orientation (1,800 cases), the worst
+    errors were 7.4e-11 for time, 5.3e-15 for values, 7.0e-11 for rotation
+    and 9.7e-11 for the swap; the three largest all at seed 144 of the
+    forward d = 2 fit, a grid of 2.4 decades. In the default orientation the
+    worst were 2.3e-11, 3.3e-15, 2.6e-11 and 2.0e-11. The bounds are about
+    five times the worst.
+    """
+
+    BOUNDS = {"time": 5e-10, "values": 3e-14, "rotation": 5e-10, "swap": 5e-10}
+
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fit_transforms_with_the_data(self, dim, time_reversed):
+        for seed in range(8):
+            errors = batch_invariance_errors(dim, time_reversed, seed)
+            for name, bound in self.BOUNDS.items():
+                assert errors[name] <= bound, (name, seed, errors[name])
+
+
 def random_vector_series(rng, m, dim):
     """Gaps spread over one decade, correlated informations, 10% placeholders."""
     times = np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-0.5, 0.5, m - 1))])
@@ -604,7 +666,7 @@ class TestDenseReference:
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings, strategies as st
 
-        @settings(max_examples=40)
+        @settings(max_examples=40, deadline=None)
         @given(dim=st.integers(1, 3), m=st.integers(3, 60), decades=st.floats(0.0, 3.0),
                log_eta=st.floats(-3.0, 6.0), reverse=st.booleans(),
                seed=st.integers(0, 2**32 - 1))
