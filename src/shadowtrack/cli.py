@@ -168,23 +168,33 @@ def _stem(path: str) -> str:
 
 
 def _check_names(out_dir: str, names: list[str]) -> None:
-    """Raise IOFailure for the first name longer than ``out_dir``'s file system takes.
+    """Raise IOFailure for the first name longer than ``out_dir``'s file system takes,
+    or whose path in ``out_dir`` is.
 
-    The limit is read from the nearest existing directory on the way to
-    ``out_dir``, which need not exist yet; 255 bytes where none can be read.
+    The limits are read from the nearest existing directory on the way to
+    ``out_dir``, which need not exist yet; 255 bytes on a name, and none on a
+    path, where none can be read.
     """
-    probe = os.path.abspath(out_dir)
+    directory = os.path.abspath(out_dir)
+    probe = directory
     while not os.path.isdir(probe):
         probe = os.path.dirname(probe)
     try:
         limit = os.pathconf(probe, "PC_NAME_MAX")
+        path_limit = os.pathconf(probe, "PC_PATH_MAX")  # counts the terminating NUL
     except (AttributeError, OSError):  # no pathconf on Windows
-        limit = 255
+        limit, path_limit = 255, -1
     for name in names:
         if len(os.fsencode(name)) > limit > 0:  # -1 means no limit
             raise IOFailure(
                 f"cannot write {name}: {len(os.fsencode(name))} bytes, past the file "
                 f"system's limit of {limit} bytes on a file name"
+            )
+        path = os.path.join(directory, name)
+        if len(os.fsencode(path)) >= path_limit > 0:
+            raise IOFailure(
+                f"cannot write {path}: {len(os.fsencode(path))} bytes, past the file "
+                f"system's limit of {path_limit - 1} bytes on a path"
             )
 
 

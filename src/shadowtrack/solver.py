@@ -34,8 +34,17 @@ on new right-hand sides only: the first solution's least-squares residual
 (one step of iterative refinement, which recovers the digits that badly
 spread gaps cost the first pass) and the derivative of the solution with
 respect to eta, from which each fit reports d log xi / d log eta for the
-eta search's Newton steps. Time and memory grow linearly in the number of
-samples, and the accelerations come out of the same solve.
+eta search's Newton steps. The first pass walks back over the panels one
+gap at a time, last panel first, which keeps the positions' digits. The
+second pass walks all panels at once: each panel's start state, as a map
+of its end state, chains the panels' end states back from the pin, and
+every panel then walks back from its own. Composed maps lose digits that
+the first pass cannot spare, but the second pass carries a correction and
+a derivative, so their rounding is relative to those columns and reaches
+the positions only as eps |dp| (iterative refinement needs only modest
+accuracy in its correction; Higham 2002, ch. 12). Time and memory grow
+linearly in the number of samples, and the accelerations come out of the
+same solve.
 
 Eliminating the duals is causal, so the scheme's approximation error
 gathers at the start of the window the system is built on. A tracker
@@ -243,11 +252,21 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
 
     The second pass repeats the QR calls on 2k new right-hand sides: the first
     solution's least-squares residual (one refinement step) and the rows
-    -sqrt(2 tau / eta) a, whose solution is the derivative in eta. Returns the
-    (m, d, k) positions, the (m - 1, d, k) accelerations, their derivatives in
-    eta (NaN past the float range), and the data column's misfit y - p, summed
-    from the refinement's parts so it keeps the digits that p loses to rounding
-    at its own scale. Data rows R y past the float range raise SingularSystem.
+    -sqrt(2 tau / eta) a, whose solution is the derivative in eta. Its back
+    substitution is batched over the panels. A panel's accelerations are
+    c - H x_e on its end state x_e, so its start-state map takes the columns
+    [c | -H] to its start state as an affine map of x_e. One small product per
+    panel chains the x_e back from the pin, and every panel is then walked back
+    from its own at once. Composed maps like these cost the first pass digits;
+    here their rounding is relative to the correction and the derivative. The
+    positions come from walking the accelerations, not from composed per-sample
+    maps of x_e, whose terms cancel where H is large.
+
+    Returns the (m, d, k) positions, the (m - 1, d, k) accelerations, their
+    derivatives in eta (NaN past the float range), and the data column's misfit
+    y - p, summed from the refinement's parts so it keeps the digits that p loses
+    to rounding at its own scale. Data rows R y past the float range raise
+    SingularSystem.
     """
     m, d = values.shape
     n, k = m - 1, d + 1
@@ -297,34 +316,36 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
 
     def close(rhs: np.ndarray, data_rhs: np.ndarray) -> np.ndarray:
         """p_n from the carried rows, with v_n substituted, over sample n's data rows."""
-        r = np.linalg.qr(np.block([[state[:, :d], rhs], [roots[n], data_rhs]]), mode="r")
+        stack = np.concatenate([np.concatenate([state[:, :d], rhs], axis=1),
+                                np.concatenate([roots[n], data_rhs], axis=1)])
+        r = np.linalg.qr(stack, mode="r")
         _require_nonsingular(np.diagonal(r[:, :d]))
         return np.linalg.solve(r[:d, :d], r[:d, d:])
 
     tri = kept[:, :, :sd]
     solved = _back_substitute(tri, kept[:, :, sd:])
     H = solved[:, :, :2 * d]
+    t = tau[..., None, None]
 
-    def substitute(c: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and accelerations from a = c - H (p_e, v_e), panel by panel in reverse."""
-        q = c.shape[2]
-        a = np.empty((panels, s, d, q))
-        p = np.empty((panels, s, d, q))
-        pv = end  # (p_e, v_e) of panel g
-        for g in range(panels - 1, -1, -1):
-            a[g] = (c[g] - H[g] @ pv).reshape(s, d, q)
-            t, back = tau[g, ::-1, None, None], a[g, ::-1]  # the panel's gaps, last first
-            v = np.add.accumulate(np.concatenate([pv[None, d:], -t * back]))
-            steps = 0.5 * t * t * back - t * v[:-1]  # each step back uses its gap's end velocity
-            walk = np.add.accumulate(np.concatenate([pv[None, :d], steps]))
-            p[g], pv = walk[:0:-1], np.concatenate([walk[-1], v[-1]])
-        return (np.concatenate([p.reshape(panels * s, d, q)[:n], end[None, :d]]),
+    def samples(pos: np.ndarray, a: np.ndarray, p_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample positions and accelerations from panel stacks (panels, S (+ 1), d, q)."""
+        q = a.shape[-1]
+        return (np.concatenate([pos[:, :s].reshape(panels * s, d, q)[:n], p_n[None]]),
                 a.reshape(panels * s, d, q)[:n])
 
+    # Pass one walks back one gap at a time, panel by panel, to keep the positions' digits.
     pin = np.concatenate([np.zeros((d, 1)), np.eye(d)], axis=1)  # v_n of each right-hand side
     p_n = close(carry[:, 2 * d:] - state[:, d:] @ pin,
                 np.concatenate([last, np.zeros((d, d))], axis=1))
-    p, a = substitute(solved[:, :, 2 * d:], np.concatenate([p_n, pin]))
+    a = np.empty((panels, s, d, k))
+    vel, pos = np.empty((2, panels, s + 1, d, k))
+    pv = np.concatenate([p_n, pin])  # (p_e, v_e) of panel g
+    for g in range(panels - 1, -1, -1):
+        np.subtract(solved[g, :, 2 * d:], H[g] @ pv, out=a[g].reshape(sd, k))
+        pos[g, s], vel[g, s] = pv[:d], pv[d:]
+        _walk_back(t[g], a[g], vel[g], pos[g])
+        pv = np.concatenate([pos[g, 0], vel[g, 0]])
+    p, a = samples(pos, a, p_n)
     misfit = -p
     misfit[:, :, 0] += values
     residual = roots @ misfit
@@ -344,11 +365,43 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
         kept[g] = r[:sd, cols:]
         carry = r[sd:sd + 2 * d, cols:]
     p_n = close(carry, np.concatenate([residual[n], np.zeros((d, k))], axis=1))
-    dp, da = substitute(_back_substitute(tri, kept), np.concatenate([p_n, np.zeros((d, 2 * k))]))
+
+    # Pass two walks every panel at once. Put through a panel's start-state map, the
+    # columns [c | -H] of its accelerations a = c - H x_e give its start state as an
+    # affine map of its end state x_e; the x_e are chained back from the pin, where v_n
+    # has no correction, and each panel is walked back from its own.
+    q = 2 * k
+    c = _back_substitute(tri, kept)
+    begin = start[:, :, :sd] @ np.concatenate([c, -H], axis=2)
+    begin[:, :, q:] += start[:, :, sd:]
+    x_e = np.empty((panels, 2 * d, q))
+    x_e[-1] = np.concatenate([p_n, np.zeros((d, q))])
+    for g in range(panels - 1, 0, -1):
+        x_e[g - 1] = begin[g, :, :q] + begin[g, :, q:] @ x_e[g]
+    da = (c - H @ x_e).reshape(panels, s, d, q)
+    vel, pos = np.empty((2, panels, s + 1, d, q))
+    pos[:, s], vel[:, s] = x_e[:, :d], x_e[:, d:]
+    _walk_back(t, da, vel, pos)
+    dp, da = samples(pos, da, p_n)
     p, a = p + dp[:, :, :k], a + da[:, :, :k]
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
         raise SingularSystem("stationarity solve produced non-finite values")
     return p, a, dp[:, :, k:], da[:, :, k:], misfit[:, :, 0] - dp[:, :, 0]
+
+
+def _walk_back(tau: np.ndarray, a: np.ndarray, vel: np.ndarray, pos: np.ndarray) -> None:
+    """Velocities and positions at the samples of panels of gaps tau (..., S, 1, 1) with
+    accelerations a (..., S, d, q), into vel and pos (..., S + 1, d, q), whose entries S
+    hold the panels' end states on entry: v_j = v_{j+1} - tau_j a_j and p_j = p_{j+1} -
+    tau_j v_{j+1} + tau_j^2 a_j / 2, summed back from the end one gap at a time."""
+    s = a.shape[-3]
+    np.multiply(-tau, a, out=vel[..., :s, :, :])
+    back = vel[..., ::-1, :, :]
+    np.add.accumulate(back, axis=-3, out=back)
+    np.multiply(0.5 * tau * tau, a, out=pos[..., :s, :, :])
+    pos[..., :s, :, :] -= tau * vel[..., 1:, :, :]
+    back = pos[..., ::-1, :, :]
+    np.add.accumulate(back, axis=-3, out=back)
 
 
 def _back_substitute(tri: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -407,6 +407,24 @@ class TestTrack:
         assert f"cannot write {'s' * 240}-track-manifest.json: 260 bytes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_path_past_the_file_system_limit_exits_3_writing_nothing(self, tmp_path, capsys):
+        """A 4,078-byte --out of 200-byte components fits the track CSV's path but not
+        its manifest's, so nothing is written, the directory included."""
+        path = tmp_path / "a.csv"
+        fileio.write_table(str(path), fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
+                           [(t, t, 0.5 * t, 1.0, 0.0, 1.0, 1.0, PROVENANCE_OBSERVED)
+                            for t in np.arange(4.0)])
+        out = str(tmp_path.resolve())
+        while len(out) + 202 < 4078:  # leaves 1 to 200 bytes for the last component
+            out = os.path.join(out, "d" * 200)
+        out = os.path.join(out, "d" * (4078 - len(out) - 1))
+        assert len(os.fsencode(out)) == 4078
+        assert run_cli("track", str(path), "--eta", "10", "--out", out) == 3
+        manifest = os.path.join(out, "a-track-manifest.json")
+        assert f"cannot write {manifest}: 4100 bytes" in capsys.readouterr().err
+        assert not (tmp_path / ("d" * 200)).exists()
+
     def test_wrong_schema_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "truth.csv")
         fileio.write_truth(path, np.arange(4.0), np.arange(4.0))
