@@ -9,12 +9,14 @@ Cartesian position estimates.
 
 Public layers:
 
+* :mod:`shadowtrack.series` holds every input check: time grids,
+  observation series with their weights or information matrices, and
+  the smoothing strength.
 * :mod:`shadowtrack.matrices` builds the structured banded operators for
-  a given time grid.
+  a given time grid, and the dense KKT oracle assembled from them.
 * :mod:`shadowtrack.solver` solves the batch smoothing system, recovers
-  velocities and accelerations, searches the smoothing strength for a
-  target RMS acceleration, and exposes a dense reference solver. Its
-  observation series are defined in :mod:`shadowtrack.series`.
+  velocities and accelerations, and searches the smoothing strength for
+  a target RMS acceleration.
 * :mod:`shadowtrack.geometry` converts sensor readings into position
   estimates with information matrices and condition weights.
 * :mod:`shadowtrack.tracker` runs a sequential tracker with configurable
@@ -47,15 +49,16 @@ _EXPORTS = {
         "SCENARIO_IDS", "MODE_IGNORE_CORRELATION", "MODE_PROPAGATE", "POLICY_COALESCE",
         "POLICY_ZERO_WEIGHT", "POLICY_FORECAST", "POLICIES",
     ),
-    "matrices": (
-        "TimeGrid", "FilterMatrices", "IdentityReport", "build_time_grid",
-        "build_filter_matrices", "verify_identities",
+    "series": (
+        "TimeGrid", "build_time_grid", "ScalarObservationSeries", "VectorObservationSeries",
     ),
-    "series": ("ScalarObservationSeries", "VectorObservationSeries"),
+    "matrices": (
+        "FilterMatrices", "IdentityReport", "OracleSolution", "build_filter_matrices",
+        "verify_identities", "solve_kkt_oracle", "oracle_residuals",
+    ),
     "solver": (
-        "ShadowingTrajectory", "OracleSolution", "EtaSearchResult", "solve_scalar",
-        "solve_vector", "rms_acceleration", "search_eta", "evaluate_spline",
-        "evaluate_spline_velocity", "solve_kkt_oracle", "oracle_residuals",
+        "ShadowingTrajectory", "EtaSearchResult", "solve_scalar", "solve_vector",
+        "rms_acceleration", "search_eta", "evaluate_spline", "evaluate_spline_velocity",
     ),
     "geometry": (
         "PROVENANCE_OBSERVED", "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "SensorSite",

@@ -351,7 +351,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     from . import fileio
     from .geometry import PROVENANCE_DROPPED
-    from .matrices import _frozen
+    from .series import _frozen
     from .tracker import SequentialTracker, TrackerConfig, TrackPoint
 
     table = fileio.read_table(args.stream)

@@ -38,8 +38,12 @@ from .errors import (
     SchemaError,
 )
 from .geometry import PolarObservation, RawPositionEstimate, _scalar_fix
-from .matrices import _symmetrized, build_time_grid
-from .series import ScalarObservationSeries, VectorObservationSeries
+from .series import (
+    ScalarObservationSeries,
+    VectorObservationSeries,
+    _symmetrized,
+    build_time_grid,
+)
 
 if TYPE_CHECKING:  # named in annotations only, so reading a file loads no solver
     from .solver import ShadowingTrajectory

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .matrices import _frozen, _symmetrized
+from .series import _frozen, _symmetrized
 
 __all__ = [
     "PROVENANCE_OBSERVED",

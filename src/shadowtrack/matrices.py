@@ -1,4 +1,4 @@
-"""Time grids and the structured matrices of the smoothing linear system.
+"""The structured matrices of the smoothing linear system, and its dense oracle.
 
 The smoother works on a window of samples at strictly increasing times
 t_0 < t_1 < ... < t_n with gaps tau_i = t_{i+1} - t_i. Positions are
@@ -15,6 +15,11 @@ a small family of banded matrices that this module assembles:
   interval accelerations,
 * the assembled system blocks, augmented with a weighted-mean-residual
   constraint row.
+
+Beside them sits a dense solver for the complete stationarity system,
+duals and terminal row included, assembled by blocks from the same
+operators. It shares no code with the production solve and is kept as an
+oracle for tests and diagnostics; no command runs it.
 """
 
 from __future__ import annotations
@@ -23,106 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndefiniteInformation,
-    NonIncreasingTimes,
-    NonSymmetricInformation,
-    ShapeMismatch,
-    TooFewPoints,
-)
+from .errors import SingularSystem, UsageError
+from .series import ScalarObservationSeries, TimeGrid, _frozen, _require_positive_eta
+# Bound for perfbench/workloads.py's ``from shadowtrack.matrices import build_time_grid``.
+from .series import build_time_grid  # noqa: F401
 
 __all__ = [
-    "TimeGrid",
     "FilterMatrices",
     "IdentityReport",
-    "build_time_grid",
+    "OracleSolution",
     "build_filter_matrices",
     "verify_identities",
+    "solve_kkt_oracle",
+    "oracle_residuals",
 ]
-
-
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _symmetrized(infos: np.ndarray, where: str = "at sample {}") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric parts W of finite (m, d, d) information matrices, and their roots.
-
-    One eigendecomposition W = V diag(lambda) V^T per matrix checks that W
-    is positive semidefinite and gives the root sqrt(max(lambda, 0)) V^T,
-    whose Gram matrix is W even when W is singular, unlike a Cholesky
-    factor. Raises NonSymmetricInformation or IndefiniteInformation for the
-    first matrix that is not symmetric, or not positive semidefinite, to
-    within 1e-12 of one plus its largest entry; ``where`` names it in the
-    message, formatted with its index.
-    """
-    scale = np.abs(infos).max(axis=(1, 2))
-    skew = np.abs(infos - np.transpose(infos, (0, 2, 1))).max(axis=(1, 2))
-    bad = np.nonzero(skew > 1e-12 * (1.0 + scale))[0]
-    if bad.size:
-        raise NonSymmetricInformation(
-            f"information matrix {where.format(int(bad[0]))} is not symmetric "
-            f"(max asymmetry {skew[bad[0]]:.3e})"
-        )
-    sym = 0.5 * infos + 0.5 * np.transpose(infos, (0, 2, 1))  # halved first: no overflow
-    eigenvalues, vectors = np.linalg.eigh(sym)
-    low = eigenvalues.min(axis=1)
-    bad = np.nonzero(low < -1e-12 * (1.0 + scale))[0]
-    if bad.size:
-        raise IndefiniteInformation(
-            f"information matrix {where.format(int(bad[0]))} has eigenvalue "
-            f"{low[bad[0]]:.3e}"
-        )
-    return sym, np.sqrt(np.maximum(eigenvalues, 0.0))[:, :, None] * np.swapaxes(vectors, 1, 2)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing sample times and their gaps.
-
-    Arrays are read-only so a grid can be shared between solves and
-    threads without defensive copies.
-    """
-
-    times: np.ndarray  # shape (n+1,)
-    taus: np.ndarray   # shape (n,), all positive
-
-    @property
-    def n(self) -> int:
-        """Number of gaps (one less than the number of samples)."""
-        return self.taus.shape[0]
-
-    @property
-    def span(self) -> float:
-        """Total window length t_n - t_0."""
-        return float(self.times[-1] - self.times[0])
-
-
-def build_time_grid(times) -> TimeGrid:
-    """Validate sample times and derive the gap sequence.
-
-    Raises TooFewPoints for fewer than three samples, NonIncreasingTimes
-    when times are not strictly increasing or not finite.
-    """
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"times must be one-dimensional, got shape {arr.shape}")
-    if arr.shape[0] < 3:
-        raise TooFewPoints(
-            f"need at least 3 samples to constrain an acceleration, got {arr.shape[0]}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise NonIncreasingTimes("times contain non-finite values")
-    taus = np.diff(arr)
-    if np.any(taus <= 0.0):
-        bad = int(np.argmax(taus <= 0.0))
-        raise NonIncreasingTimes(
-            f"times must be strictly increasing; violation between samples "
-            f"{bad} and {bad + 1} ({float(arr[bad])!r} -> {float(arr[bad + 1])!r})"
-        )
-    return TimeGrid(times=_frozen(arr), taus=_frozen(taus))
 
 
 def _difference(rows: int, cols: int) -> np.ndarray:
@@ -268,3 +187,112 @@ def verify_identities(fm: FilterMatrices) -> IdentityReport:
         difference_inverse=float(np.max(np.abs(dl))),
         extended_coupling=float(np.max(np.abs(em))),
     )
+
+
+@dataclass(frozen=True)
+class OracleSolution:
+    """Exact stationary point of the penalized fit, duals included.
+
+    Solved as one dense square system, so it carries no elimination
+    approximation; used to validate the production solver.
+    """
+
+    grid: TimeGrid
+    eta: float
+    positions: np.ndarray      # (n+1,)
+    velocities: np.ndarray     # (n+1,)
+    accelerations: np.ndarray  # (n,)
+    lambdas: np.ndarray        # (n,)  duals of the position updates
+    mus: np.ndarray            # (n,)  duals of the velocity updates
+
+
+def solve_kkt_oracle(obs: ScalarObservationSeries, eta: float) -> OracleSolution:
+    """Solve the full stationarity system directly, duals included.
+
+    Unknowns are stacked as [p (n+1), v (n+1), a (n), lambda (n), mu (n)].
+    The dense matrix is assembled by blocks from the first differences E
+    and D of ``build_filter_matrices`` and shares no code with the
+    structured solve; the result is exact up to linear-solver rounding.
+    Quadratic in memory and cubic in time, hence capped at small windows;
+    this is a testing oracle, not the production path.
+    """
+    eta = _require_positive_eta(eta)
+    grid = obs.grid
+    n = grid.n
+    if n > 200:
+        raise UsageError(f"oracle supports n <= 200 gaps, got {n}")
+    fm = build_filter_matrices(grid)
+    w, tau, eye = obs.weights, np.diag(grid.taus), np.eye(n)
+    Z = np.zeros((5 * n + 2, 5 * n + 2))
+    rhs = np.zeros(5 * n + 2)
+    # The unknowns' blocks also name the row blocks: the stationarity of p, v
+    # and a, then the interval dynamics that lambda and mu enforce. Each
+    # statement below fills one block row.
+    p, v, a = slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, 3 * n + 2)
+    lam, mu = slice(3 * n + 2, 4 * n + 2), slice(4 * n + 2, 5 * n + 2)
+    gaps = slice(n + 1, 2 * n + 1)  # v but its last entry: one velocity per gap
+    # Position stationarity: W p + E lambda = W obs.
+    Z[p, p], Z[p, lam], rhs[p] = np.diag(w), fm.E, w * obs.values
+    # Velocity stationarity: D mu = tau lambda on each gap, and mu_{n-1} = 0.
+    Z[gaps, lam], Z[gaps, mu], Z[v.stop - 1, mu.stop - 1] = -tau, fm.D, 1.0
+    # Acceleration stationarity: 2 eta a = tau lambda / 2 + mu.
+    Z[a, a], Z[a, lam], Z[a, mu] = 2.0 * eta * eye, -0.5 * tau, -eye
+    # Interval dynamics: E^T differences consecutive positions and velocities.
+    Z[lam, p], Z[lam, gaps], Z[lam, a] = fm.E.T, -tau, np.diag(-0.5 * grid.taus ** 2)
+    Z[mu, v], Z[mu, a] = fm.E.T, -tau
+    try:
+        sol = np.linalg.solve(Z, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(
+            f"stationarity system is singular (1-norm condition estimate "
+            f"{np.linalg.cond(Z, 1):.3e})"
+        ) from exc
+    if not np.all(np.isfinite(sol)):
+        raise SingularSystem("stationarity solve produced non-finite values")
+    return OracleSolution(
+        grid=grid, eta=eta,
+        positions=_frozen(sol[p]),
+        velocities=_frozen(sol[v]),
+        accelerations=_frozen(sol[a]),
+        lambdas=_frozen(sol[lam]),
+        mus=_frozen(sol[mu]),
+    )
+
+
+def oracle_residuals(sol: OracleSolution, obs: ScalarObservationSeries) -> dict[str, float]:
+    """Max relative residual of each stationarity equation family.
+
+    Each residual is normalized by one plus the largest magnitude among
+    the terms entering that family, so values are comparable across
+    scales; all should sit at rounding level for a healthy solve.
+    """
+    taus = sol.grid.taus
+    w = obs.weights
+    p, v, a = sol.positions, sol.velocities, sol.accelerations
+    lam, mu = sol.lambdas, sol.mus
+
+    position = w * (p - obs.values)
+    position[:-1] -= lam
+    position[1:] += lam
+    pos_scale = max(np.abs(w * obs.values).max(), np.abs(lam).max(), 1.0)
+
+    velocity = np.empty(sol.grid.n + 1)
+    velocity[:-1] = (np.concatenate([[0.0], mu[:-1]]) - mu) - taus * lam
+    velocity[-1] = mu[-1]
+    vel_scale = max(np.abs(mu).max(), np.abs(taus * lam).max(), 1.0)
+
+    accel = 2.0 * sol.eta * a - 0.5 * taus * lam - mu
+    acc_scale = max(np.abs(2.0 * sol.eta * a).max(), np.abs(mu).max(), 1.0)
+
+    dyn_p = p[1:] - p[:-1] - v[:-1] * taus - 0.5 * a * taus ** 2
+    dyn_p_scale = max(np.abs(p).max(), 1.0)
+    dyn_v = v[1:] - v[:-1] - a * taus
+    dyn_v_scale = max(np.abs(v).max(), 1.0)
+
+    return {
+        "position": float(np.abs(position).max() / pos_scale),
+        "velocity": float(np.abs(velocity).max() / vel_scale),
+        "acceleration": float(np.abs(accel).max() / acc_scale),
+        "dynamics_position": float(np.abs(dyn_p).max() / dyn_p_scale),
+        "dynamics_velocity": float(np.abs(dyn_v).max() / dyn_v_scale),
+    }

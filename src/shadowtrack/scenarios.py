@@ -29,8 +29,12 @@ import numpy as np
 from .constants import SCENARIO_IDS  # noqa: F401  (re-exported; listed by ``constants``)
 from .errors import DataError, UsageError
 from .geometry import PolarObservation, SensorSite, _segment_path, wrap_bearing
-from .matrices import _frozen, build_time_grid
-from .series import ScalarObservationSeries, VectorObservationSeries
+from .series import (
+    ScalarObservationSeries,
+    VectorObservationSeries,
+    _frozen,
+    build_time_grid,
+)
 
 __all__ = [
     "ScalarScenario",

@@ -52,9 +52,6 @@ emits the newest sample, so the default orientation is the forward solve
 on mirrored time: the samples are reversed, the forward system is solved
 on the reversed gaps, and the solution is reversed back, which leaves the
 error at the oldest samples. Both orientations thus share one assembly.
-
-A dense solver for the complete stationarity system, terminal row
-included, is kept as an oracle for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -68,19 +65,25 @@ import numpy as np
 from .errors import (
     BracketDoesNotStraddle,
     MaxIterations,
-    NonPositiveEta,
     SingularSystem,
     TimeOutOfRange,
     UsageError,
 )
-from .matrices import TimeGrid, _frozen, build_filter_matrices
+# Bound for perfbench/tracing.py's ``matrices.build`` span, which wraps this name.
+from .matrices import build_filter_matrices  # noqa: F401
 # The series classes live in ``series``, which holds no solver code, and stay
 # importable from here, though only ``series`` lists them.
-from .series import ScalarObservationSeries, VectorObservationSeries
+from .series import (
+    ScalarObservationSeries,
+    TimeGrid,
+    VectorObservationSeries,
+    _frozen,
+    _real,
+    _require_positive_eta,
+)
 
 __all__ = [
     "ShadowingTrajectory",
-    "OracleSolution",
     "EtaSearchResult",
     "solve_scalar",
     "solve_vector",
@@ -88,8 +91,6 @@ __all__ = [
     "search_eta",
     "evaluate_spline",
     "evaluate_spline_velocity",
-    "solve_kkt_oracle",
-    "oracle_residuals",
 ]
 
 # Acceleration unknowns per sweep panel, S d for S gaps of d-vectors.
@@ -101,21 +102,6 @@ _EPS = float(np.finfo(float).eps)
 # gives up after this many steps inside the bracket.
 SEARCH_REL_TOL = 2e-5
 SEARCH_MAX_ITERATIONS = 100
-
-
-def _real(value) -> float:
-    """``float(value)``, reading an integer past the float range as an infinity of its sign."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _require_positive_eta(eta: float) -> float:
-    eta = _real(eta)
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise NonPositiveEta(f"eta must be a positive finite number, got {eta!r}")
-    return eta
 
 
 def _require_bracket(eta_lo: float, eta_hi: float) -> tuple[float, float]:
@@ -158,23 +144,6 @@ class ShadowingTrajectory:
         """Rank of the master system, d n for n + 1 samples: the solve raises
         SingularSystem rather than return a rank-deficient fit."""
         return self.dim * self.grid.n
-
-
-@dataclass(frozen=True)
-class OracleSolution:
-    """Exact stationary point of the penalized fit, duals included.
-
-    Solved as one dense square system, so it carries no elimination
-    approximation; used to validate the production solver.
-    """
-
-    grid: TimeGrid
-    eta: float
-    positions: np.ndarray      # (n+1,)
-    velocities: np.ndarray     # (n+1,)
-    accelerations: np.ndarray  # (n,)
-    lambdas: np.ndarray        # (n,)  duals of the position updates
-    mus: np.ndarray            # (n,)  duals of the velocity updates
 
 
 @dataclass(frozen=True)
@@ -809,95 +778,3 @@ def evaluate_spline_velocity(traj: ShadowingTrajectory, t):
     Times before the window and non-finite times raise TimeOutOfRange.
     """
     return _spline_eval(traj, t, derivative=True)
-
-
-def solve_kkt_oracle(obs: ScalarObservationSeries, eta: float) -> OracleSolution:
-    """Solve the full stationarity system directly, duals included.
-
-    Unknowns are stacked as [p (n+1), v (n+1), a (n), lambda (n), mu (n)].
-    The dense matrix is assembled by blocks from the operator layer's first
-    differences E and D and shares no code with the structured solve; the
-    result is exact up to linear-solver rounding. Quadratic in memory and
-    cubic in time, hence capped at small windows; this is a testing
-    oracle, not the production path.
-    """
-    eta = _require_positive_eta(eta)
-    grid = obs.grid
-    n = grid.n
-    if n > 200:
-        raise UsageError(f"oracle supports n <= 200 gaps, got {n}")
-    fm = build_filter_matrices(grid)
-    w, tau, eye = obs.weights, np.diag(grid.taus), np.eye(n)
-    Z = np.zeros((5 * n + 2, 5 * n + 2))
-    rhs = np.zeros(5 * n + 2)
-    # The unknowns' blocks also name the row blocks: the stationarity of p, v
-    # and a, then the interval dynamics that lambda and mu enforce. Each
-    # statement below fills one block row.
-    p, v, a = slice(0, n + 1), slice(n + 1, 2 * n + 2), slice(2 * n + 2, 3 * n + 2)
-    lam, mu = slice(3 * n + 2, 4 * n + 2), slice(4 * n + 2, 5 * n + 2)
-    gaps = slice(n + 1, 2 * n + 1)  # v but its last entry: one velocity per gap
-    # Position stationarity: W p + E lambda = W obs.
-    Z[p, p], Z[p, lam], rhs[p] = np.diag(w), fm.E, w * obs.values
-    # Velocity stationarity: D mu = tau lambda on each gap, and mu_{n-1} = 0.
-    Z[gaps, lam], Z[gaps, mu], Z[v.stop - 1, mu.stop - 1] = -tau, fm.D, 1.0
-    # Acceleration stationarity: 2 eta a = tau lambda / 2 + mu.
-    Z[a, a], Z[a, lam], Z[a, mu] = 2.0 * eta * eye, -0.5 * tau, -eye
-    # Interval dynamics: E^T differences consecutive positions and velocities.
-    Z[lam, p], Z[lam, gaps], Z[lam, a] = fm.E.T, -tau, np.diag(-0.5 * grid.taus ** 2)
-    Z[mu, v], Z[mu, a] = fm.E.T, -tau
-    try:
-        sol = np.linalg.solve(Z, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            f"stationarity system is singular (1-norm condition estimate "
-            f"{np.linalg.cond(Z, 1):.3e})"
-        ) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularSystem("stationarity solve produced non-finite values")
-    return OracleSolution(
-        grid=grid, eta=eta,
-        positions=_frozen(sol[p]),
-        velocities=_frozen(sol[v]),
-        accelerations=_frozen(sol[a]),
-        lambdas=_frozen(sol[lam]),
-        mus=_frozen(sol[mu]),
-    )
-
-
-def oracle_residuals(sol: OracleSolution, obs: ScalarObservationSeries) -> dict[str, float]:
-    """Max relative residual of each stationarity equation family.
-
-    Each residual is normalized by one plus the largest magnitude among
-    the terms entering that family, so values are comparable across
-    scales; all should sit at rounding level for a healthy solve.
-    """
-    taus = sol.grid.taus
-    w = obs.weights
-    p, v, a = sol.positions, sol.velocities, sol.accelerations
-    lam, mu = sol.lambdas, sol.mus
-
-    position = w * (p - obs.values)
-    position[:-1] -= lam
-    position[1:] += lam
-    pos_scale = max(np.abs(w * obs.values).max(), np.abs(lam).max(), 1.0)
-
-    velocity = np.empty(sol.grid.n + 1)
-    velocity[:-1] = (np.concatenate([[0.0], mu[:-1]]) - mu) - taus * lam
-    velocity[-1] = mu[-1]
-    vel_scale = max(np.abs(mu).max(), np.abs(taus * lam).max(), 1.0)
-
-    accel = 2.0 * sol.eta * a - 0.5 * taus * lam - mu
-    acc_scale = max(np.abs(2.0 * sol.eta * a).max(), np.abs(mu).max(), 1.0)
-
-    dyn_p = p[1:] - p[:-1] - v[:-1] * taus - 0.5 * a * taus ** 2
-    dyn_p_scale = max(np.abs(p).max(), 1.0)
-    dyn_v = v[1:] - v[:-1] - a * taus
-    dyn_v_scale = max(np.abs(v).max(), 1.0)
-
-    return {
-        "position": float(np.abs(position).max() / pos_scale),
-        "velocity": float(np.abs(velocity).max() / vel_scale),
-        "acceleration": float(np.abs(accel).max() / acc_scale),
-        "dynamics_position": float(np.abs(dyn_p).max() / dyn_p_scale),
-        "dynamics_velocity": float(np.abs(dyn_v).max() / dyn_v_scale),
-    }

@@ -46,13 +46,18 @@ from .geometry import (
     RawPositionEstimate,
     _scalar_fix,
 )
-from .matrices import _frozen, build_time_grid
-from .series import MIN_EFFECTIVE_SAMPLES, ScalarObservationSeries, VectorObservationSeries
+from .series import (
+    MIN_EFFECTIVE_SAMPLES,
+    ScalarObservationSeries,
+    VectorObservationSeries,
+    _frozen,
+    _real,
+    _require_positive_eta,
+    build_time_grid,
+)
 from .solver import (
     ShadowingTrajectory,
     _IncrementalSolve,
-    _real,
-    _require_positive_eta,
     _rescaled,
     evaluate_spline,
     solve_scalar,

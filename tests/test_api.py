@@ -48,7 +48,7 @@ def test_an_unknown_name_raises_attribute_error():
 
 
 def test_series_classes_are_one_object_wherever_imported():
-    for name in series.__all__:
+    for name in ("ScalarObservationSeries", "VectorObservationSeries"):
         assert getattr(solver, name) is getattr(series, name)
         assert getattr(shadowtrack, name) is getattr(series, name)
 
@@ -79,6 +79,16 @@ def test_the_constants_load_only_their_own_module():
     assert [name for name in modules if name.startswith("shadowtrack")] == [
         "shadowtrack", "shadowtrack.constants"]
     assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+
+
+def test_the_input_checks_and_the_operator_layer_load_no_production_solve():
+    """``series`` rests on ``errors`` alone, and ``matrices`` on ``series`` and ``errors``."""
+    modules = loaded_after("import shadowtrack.series")
+    assert [name for name in modules if name.startswith("shadowtrack.")] == [
+        "shadowtrack.errors", "shadowtrack.series"]
+    modules = loaded_after("import shadowtrack.matrices")
+    assert [name for name in modules if name.startswith("shadowtrack.")] == [
+        "shadowtrack.errors", "shadowtrack.matrices", "shadowtrack.series"]
 
 
 def test_the_series_classes_load_no_solver():

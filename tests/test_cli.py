@@ -1030,9 +1030,9 @@ class TestStartup:
         assert [name for name in modules if name.split(".")[0] == "numpy"] == []
 
     @pytest.mark.parametrize("line, unused", [
-        *((f"generate {scenario}", ("solver", "tracker"))
+        *((f"generate {scenario}", ("solver", "tracker", "matrices"))
           for scenario in ("rednoise", "planar", "sonar", "range-bearing")),
-        *((f"transform {kind}", ("solver", "tracker", "scenarios"))
+        *((f"transform {kind}", ("solver", "tracker", "scenarios", "matrices"))
           for kind in ("range-bearing", "two-bearings", "two-ranges")),
         *((f"track {kind}", ("scenarios",)) for kind in ("scalar", "raw")),
         *((f"filter {kind}", ("scenarios", "tracker")) for kind in ("scalar", "vector", "xi")),

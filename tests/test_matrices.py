@@ -1,4 +1,5 @@
-"""Structured-operator construction and identity checks."""
+"""Structured-operator construction and identity checks, and the grid and
+information checks of ``series`` that the operators rest on."""
 
 import warnings
 from dataclasses import replace
@@ -13,7 +14,7 @@ from shadowtrack import (
     build_time_grid,
     verify_identities,
 )
-from shadowtrack.matrices import _symmetrized
+from shadowtrack.series import _symmetrized
 
 
 def random_grid(rng, n, lo=0.5, hi=4.0):

@@ -38,7 +38,7 @@ from shadowtrack import (
     solve_vector,
 )
 from shadowtrack import solver
-from shadowtrack.matrices import _symmetrized
+from shadowtrack.series import _symmetrized
 from shadowtrack.solver import ShadowingTrajectory
 
 # Singular values below this fraction of the largest count as zero in the

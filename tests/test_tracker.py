@@ -1,6 +1,7 @@
 """Sequential tracking: windowing, gap policies, warm-up, and emission contract."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -915,21 +916,25 @@ class TestIncrementalFullHistory:
                 tracker.step(float(t), vector_estimate(t, 0.5 * t * t))
 
 
+@lru_cache(maxsize=None)  # the tests of one stream read one run
 def invariance_errors(dim, window, seed):
-    """How far a tracker is from two exact invariances of its fit on one stream.
+    """How far a tracker is from the exact invariances of its fit on one stream.
 
     The objective, the sum of (p - y)^T W (p - y) / 2 and eta tau |a|^2, keeps
     its minimizer when time is scaled by c and eta by c^3 (velocities scale by
     1/c and accelerations by 1/c^2), and scales it by s when the values are (the
-    informations unchanged). The stream is ``maneuvering_stream`` on three
-    decades of gaps with every tenth step a gap, a placeholder under the
-    zero-weight policy; c and s are drawn from 2^[-8, 8] and eta from 1e-3 to
-    1e4. Returns the worst error of each, p, v and a each on its own scale over
-    the run.
+    informations unchanged). For d = 2 it also maps the minimizer by M when
+    every fix's position is moved by M and its information to M W M^T, for a
+    random orthogonal M ("rotation") and for the axis swap ("swap"). The stream
+    is ``maneuvering_stream`` on three decades of gaps with every tenth step a
+    gap, a placeholder under the zero-weight policy; c and s are drawn from
+    2^[-8, 8] and eta from 1e-3 to 1e4. Returns the worst error of each by name,
+    p, v and a each on its own scale over the run.
     """
     rng = np.random.default_rng([61, dim, seed])
     c, s = 2.0 ** rng.uniform(-8.0, 8.0, 2)
     eta = 10.0 ** rng.uniform(-3.0, 4.0)
+    rotation = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     times, fixes = maneuvering_stream(dim, seed=100 * dim + seed, n=60, decades=3.0,
                                       gap_share=0.0)
     fixes[9::10] = [None] * 6
@@ -941,42 +946,68 @@ def invariance_errors(dim, window, seed):
 
     base = track(times, fixes, eta)
 
-    def error(points, scales):
+    def error(points, scales, back=None):
+        """Worst error of ``points`` scaled back by ``scales``, and mapped back by ``back``."""
         worst = 0.0
         for field, scale in zip(("position", "velocity", "acceleration"), scales):
             got = scale * np.array([getattr(point, field) for point in points])
+            if back is not None:
+                got = got @ back  # rows M x mapped back to x, as M is orthogonal
             want = np.array([getattr(point, field) for point in base])
             worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
         return worst
+
+    def mapped(m):
+        """The stream with each position moved by m and each information to m W m^T."""
+        return track(times, [fix if fix is None else RawPositionEstimate(
+            position=m @ fix.position, information=m @ fix.information @ m.T,
+            weight=fix.weight, provenance=fix.provenance) for fix in fixes], eta)
 
     timed = track(c * times, fixes, eta * c ** 3)
     scaled = track(times, [fix if fix is None else RawPositionEstimate(
         position=s * fix.position, information=fix.information, weight=fix.weight,
         provenance=fix.provenance) for fix in fixes], eta)
-    return error(timed, (1.0, c, c * c)), error(scaled, (1.0 / s,) * 3)
+    errors = {"time": error(timed, (1.0, c, c * c)), "values": error(scaled, (1.0 / s,) * 3)}
+    if dim == 2:
+        swap = np.eye(2)[::-1]
+        errors["rotation"] = error(mapped(rotation), (1.0,) * 3, rotation)
+        errors["swap"] = error(mapped(swap), (1.0,) * 3, swap)
+    return errors
 
 
 class TestInvariances:
-    """Time scaled with eta, and values scaled, leave the tracker's states as they were.
+    """Time scaled with eta, values scaled, and planar fixes rotated or their axes
+    swapped leave the tracker's states as they were, mapped alike.
 
-    Neither is bitwise, even at powers of two, because the pin's unit right-hand
+    None is bitwise, even at powers of two, because the pin's unit right-hand
     sides do not scale. Over 300 streams each, the worst time and value errors
     were 6.3e-11 and 4.8e-11 for d = 1 (window 25: 6.5e-11 and 4.9e-11) and
     1.3e-11 and 4.6e-12 for d = 2. In a window of 7 the time error is wider.
+    Over seeds 0-39 for d = 2 under full history and windows 7 and 25, the
+    worst rotation and swap errors were 1.4e-12 and 1.6e-12 (window 25 and
+    window 7); their bounds are about five times those.
     """
 
     @pytest.mark.parametrize("window", [None, 7, 25])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_time_and_value_scaling(self, dim, window):
         for seed in range(4):
-            assert max(invariance_errors(dim, window, seed)) <= 1e-10, seed
+            errors = invariance_errors(dim, window, seed)
+            assert max(errors["time"], errors["values"]) <= 1e-10, seed
+
+    @pytest.mark.parametrize("window", [None, 7, 25])
+    def test_rotation_and_axis_swap(self, window):
+        for seed in range(4):
+            errors = invariance_errors(2, window, seed)
+            assert errors["rotation"] <= 7e-12, seed
+            assert errors["swap"] <= 8e-12, seed
 
     @pytest.mark.xfail(strict=True, reason=(
         "velocity off by 6.7e-10 (d = 1) and 2.1e-10 (d = 2) of scale at eta 8.2e3 and "
         "2.5e3, the worst of 300 streams each; likely alpha's rows beside the window's pin"))
     @pytest.mark.parametrize("dim, seed", [(1, 113), (2, 267)])
     def test_time_scaling_in_a_window_of_7(self, dim, seed):
-        assert invariance_errors(dim, 7, seed)[0] <= 1e-10
+        assert invariance_errors(dim, 7, seed)["time"] <= 1e-10
 
 
 class TestRejectedFix:
