@@ -10,15 +10,17 @@ Cartesian position estimates.
 Public layers:
 
 * :mod:`shadowtrack.series` holds every input check: time grids,
-  observation series with their weights or information matrices, and
-  the smoothing strength.
+  observation series with their weights or information matrices, the
+  smoothing strength, and the checked fixes and polar readings with
+  their provenance labels.
 * :mod:`shadowtrack.matrices` builds the structured banded operators for
   a given time grid, and the dense KKT oracle assembled from them.
 * :mod:`shadowtrack.solver` solves the batch smoothing system, recovers
   velocities and accelerations, and searches the smoothing strength for
   a target RMS acceleration.
 * :mod:`shadowtrack.geometry` converts sensor readings into position
-  estimates with information matrices and condition weights.
+  estimates with information matrices and condition weights. Only
+  ``generate`` and ``transform`` load it.
 * :mod:`shadowtrack.tracker` runs a sequential tracker with configurable
   gap policies. Over the full history or a sliding window it eliminates
   one sample per fix and never re-solves.
@@ -51,6 +53,8 @@ _EXPORTS = {
     ),
     "series": (
         "TimeGrid", "build_time_grid", "ScalarObservationSeries", "VectorObservationSeries",
+        "PROVENANCE_OBSERVED", "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "PolarObservation",
+        "RawPositionEstimate", "wrap_bearing",
     ),
     "matrices": (
         "FilterMatrices", "IdentityReport", "OracleSolution", "build_filter_matrices",
@@ -61,10 +65,8 @@ _EXPORTS = {
         "rms_acceleration", "search_eta", "evaluate_spline", "evaluate_spline_velocity",
     ),
     "geometry": (
-        "PROVENANCE_OBSERVED", "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "SensorSite",
-        "PolarObservation", "RawPositionEstimate", "wrap_bearing", "rcond_1norm",
-        "propagate_information", "range_bearing_to_position", "two_bearings_to_position",
-        "two_ranges_to_position",
+        "SensorSite", "rcond_1norm", "propagate_information", "range_bearing_to_position",
+        "two_bearings_to_position", "two_ranges_to_position",
     ),
     "tracker": ("TrackerConfig", "TrackPoint", "SequentialTracker"),
     "scenarios": (

@@ -350,8 +350,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import fileio
-    from .geometry import PROVENANCE_DROPPED
-    from .series import _frozen
+    from .series import PROVENANCE_DROPPED, _frozen
     from .tracker import SequentialTracker, TrackerConfig, TrackPoint
 
     table = fileio.read_table(args.stream)
@@ -444,7 +443,8 @@ def _site_from_geometry(entry: dict, what: str) -> SensorSite:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     from . import fileio
-    from .geometry import PROVENANCE_DROPPED, SensorSite
+    from .geometry import SensorSite
+    from .series import PROVENANCE_DROPPED
 
     geometry_doc = fileio.read_json(args.geometry)
     geometry = geometry_doc.get("geometry", geometry_doc)

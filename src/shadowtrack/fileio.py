@@ -16,6 +16,11 @@ The column table ``_COLUMNS`` is the single source of each fixed CSV
 layout: writers emit its names as the header and readers look the same
 names up. Trajectory and track files name their columns from the data's
 dimension, ``p`` for scalar data and ``px, py`` for planar data.
+
+Each row read is checked by the input types of ``series``: polar rows
+become ``PolarObservation`` readings and raw-estimate rows
+``RawPositionEstimate`` fixes, so reading a file loads neither the solver
+nor the sensor geometry.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ from .errors import (
     NonSymmetricInformation,
     SchemaError,
 )
-from .geometry import PolarObservation, RawPositionEstimate, _scalar_fix
 from .series import (
+    PolarObservation,
+    RawPositionEstimate,
     ScalarObservationSeries,
     VectorObservationSeries,
+    _scalar_fix,
     _symmetrized,
     build_time_grid,
 )

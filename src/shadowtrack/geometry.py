@@ -1,16 +1,19 @@
-"""Planar sensor geometry.
+"""Planar sensor geometry: sites, conversions and their Jacobians.
 
 Converts non-Cartesian fixes (range plus bearing from one site, bearings
 from two sites, ranges from two sites) into raw Cartesian position
 estimates carrying an information matrix, a conditioning weight, and a
 provenance label. Degraded fixes are returned with provenance
 ``"dropped"`` rather than raised, so observation streams keep flowing.
+The estimate and reading types, their provenance labels and
+``wrap_bearing`` are checked inputs and live in ``series``; only
+``generate`` and ``transform`` load this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,16 +26,18 @@ from .errors import (
     ShapeMismatch,
     UsageError,
 )
-from .series import _frozen, _symmetrized
+from .series import (
+    PROVENANCE_DROPPED,
+    PROVENANCE_OBSERVED,
+    PolarObservation,  # also read as geometry.PolarObservation by perfbench/workloads.py
+    RawPositionEstimate,
+    _frozen,
+    _positive_variance,
+    wrap_bearing,
+)
 
 __all__ = [
-    "PROVENANCE_OBSERVED",
-    "PROVENANCE_FORECAST",
-    "PROVENANCE_DROPPED",
     "SensorSite",
-    "PolarObservation",
-    "RawPositionEstimate",
-    "wrap_bearing",
     "rcond_1norm",
     "propagate_information",
     "range_bearing_to_position",
@@ -41,19 +46,6 @@ __all__ = [
 ]
 
 MIN_RANGE = 1e-9
-
-PROVENANCE_OBSERVED = "observed"
-PROVENANCE_FORECAST = "forecast-inserted"
-PROVENANCE_DROPPED = "dropped"
-PROVENANCE_VALUES = (PROVENANCE_OBSERVED, PROVENANCE_FORECAST, PROVENANCE_DROPPED)
-
-
-def wrap_bearing(theta: float) -> float:
-    """Reduce an angle in radians to the interval (-pi, pi]."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DataError("bearing must be finite")
-    return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
 def _planar_point(value: Union[Sequence[float], np.ndarray], what: str) -> np.ndarray:
@@ -95,111 +87,6 @@ def _segment_path(start: np.ndarray, end: np.ndarray, span: float):
             return start + (end - start) * (float(time) / span)
 
     return path
-
-
-@dataclass(frozen=True)
-class PolarObservation:
-    """One range-and-bearing fix with per-channel noise variances.
-
-    ``bearing`` is in radians, anti-clockwise from the x-axis, stored
-    wrapped to (-pi, pi]. ``distance`` is the measured range and must be
-    positive, as must both variances.
-    """
-
-    distance: float
-    bearing: float
-    distance_variance: float
-    bearing_variance: float
-
-    def __post_init__(self) -> None:
-        distance = float(self.distance)
-        if not math.isfinite(distance) or distance <= 0.0:
-            raise DataError(f"range must be finite and positive, got {distance}",
-                            argument="distance")
-        var_r = float(self.distance_variance)
-        var_b = float(self.bearing_variance)
-        if not (math.isfinite(var_r) and var_r > 0.0):
-            raise DataError(f"range variance must be positive, got {var_r}",
-                            argument="distance_variance")
-        if not (math.isfinite(var_b) and var_b > 0.0):
-            raise DataError(f"bearing variance must be positive, got {var_b}",
-                            argument="bearing_variance")
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "bearing", wrap_bearing(self.bearing))
-        object.__setattr__(self, "distance_variance", var_r)
-        object.__setattr__(self, "bearing_variance", var_b)
-
-
-@dataclass(frozen=True)
-class RawPositionEstimate:
-    """Cartesian position derived from sensor data.
-
-    ``information`` is the inverse covariance of the estimate,
-    ``weight`` the conditioning weight in [0, 1] of the transform that
-    produced it, and ``provenance`` one of ``"observed"``,
-    ``"forecast-inserted"``, or ``"dropped"``. Dropped estimates must not
-    enter a solve. Construction checks the information by ``_symmetrized``,
-    the rule of every series, and keeps its root R (R^T R = information) as ``root``.
-    """
-
-    position: np.ndarray
-    information: np.ndarray
-    weight: float
-    provenance: str
-    root: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        position = np.asarray(self.position, dtype=float)
-        if position.ndim != 1 or position.size < 1:
-            raise ShapeMismatch(
-                f"estimate position must be a 1-D vector, got shape {position.shape}"
-            )
-        if not np.all(np.isfinite(position)):
-            raise DataError("estimate position must be finite")
-        dim = position.size
-        info = np.asarray(self.information, dtype=float)
-        if info.shape != (dim, dim):
-            raise ShapeMismatch(
-                f"information must have shape ({dim}, {dim}), got {info.shape}"
-            )
-        if not np.all(np.isfinite(info)):
-            raise DataError("information matrix must be finite")
-        sym, root = _symmetrized(info[None], where="of this estimate")
-        weight = float(self.weight)
-        if not math.isfinite(weight) or weight < 0.0 or weight > 1.0 + 1e-12:
-            raise DataError(f"condition weight must lie in [0, 1], got {weight}",
-                            argument="weight")
-        if self.provenance not in PROVENANCE_VALUES:
-            raise DataError(f"unknown provenance {self.provenance!r}; expected one of "
-                            f"{PROVENANCE_VALUES}", argument="provenance")
-        object.__setattr__(self, "position", _frozen(position))
-        object.__setattr__(self, "information", _frozen(sym[0]))
-        object.__setattr__(self, "root", _frozen(root[0]))
-        object.__setattr__(self, "weight", min(weight, 1.0))
-
-    @property
-    def dim(self) -> int:
-        return self.position.size
-
-    @property
-    def usable(self) -> bool:
-        """Whether the estimate may participate in a solve."""
-        return self.provenance != PROVENANCE_DROPPED
-
-
-def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
-    """A scalar reading as an observed 1-D fix; None for a gap (``value`` None or ``info`` 0)."""
-    if value is None:
-        return None
-    value, info = float(value), float(info)
-    if not math.isfinite(value):
-        raise ShapeMismatch("scalar observation must be finite")
-    if not math.isfinite(info) or info < 0.0:
-        raise UsageError(f"scalar information must be finite and non-negative, got {info}")
-    if info == 0.0:
-        return None
-    return RawPositionEstimate(position=np.array([value]), information=np.array([[info]]),
-                               weight=1.0, provenance=PROVENANCE_OBSERVED)
 
 
 def rcond_1norm(matrix: Union[Sequence[Sequence[float]], np.ndarray]) -> float:
@@ -299,13 +186,6 @@ def range_bearing_to_position(
         weight=1.0,
         provenance=PROVENANCE_OBSERVED,
     )
-
-
-def _positive_variance(value: float, what: str, argument: str) -> float:
-    var = float(value)
-    if not math.isfinite(var) or var <= 0.0:
-        raise DataError(f"{what} must be finite and positive, got {var}", argument=argument)
-    return var
 
 
 def _two_site_fix(position: np.ndarray, jacobian: Optional[np.ndarray],

@@ -28,12 +28,14 @@ import numpy as np
 
 from .constants import SCENARIO_IDS  # noqa: F401  (re-exported; listed by ``constants``)
 from .errors import DataError, UsageError
-from .geometry import PolarObservation, SensorSite, _segment_path, wrap_bearing
+from .geometry import SensorSite, _segment_path
 from .series import (
+    PolarObservation,
     ScalarObservationSeries,
     VectorObservationSeries,
     _frozen,
     build_time_grid,
+    wrap_bearing,
 )
 
 __all__ = [

@@ -1,18 +1,22 @@
-"""Checked inputs: time grids, observation series, smoothing strengths.
+"""Checked inputs: time grids, observation series, fixes, smoothing strengths.
 
 Every rule for valid input lives here: strictly increasing finite times,
 symmetric positive semidefinite informations, finite non-negative
-weights, enough informed samples, and a positive finite eta. The module
-needs numpy and ``errors`` alone and holds no solver code, so reading and
-writing observation files, or generating scenarios, loads neither the
-solver nor the operator layer. ``solver`` keeps the series classes as
-attributes.
+weights, enough informed samples, and a positive finite eta. So do the
+checked observation types that carry those rules to the tracker and the
+file readers: a fix as a ``RawPositionEstimate`` with its provenance
+label, and a range-and-bearing reading as a ``PolarObservation``. The
+module needs numpy and ``errors`` alone and holds no solver code, so
+reading and writing observation files, or generating scenarios, loads
+neither the solver nor the operator layer, and reading a fix loads no
+sensor geometry. ``solver`` keeps the series classes as attributes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -25,11 +29,21 @@ from .errors import (
     NonSymmetricInformation,
     ShapeMismatch,
     TooFewPoints,
+    UsageError,
 )
 
-__all__ = ["TimeGrid", "build_time_grid", "ScalarObservationSeries", "VectorObservationSeries"]
+__all__ = [
+    "TimeGrid", "build_time_grid", "ScalarObservationSeries", "VectorObservationSeries",
+    "PROVENANCE_OBSERVED", "PROVENANCE_FORECAST", "PROVENANCE_DROPPED", "PolarObservation",
+    "RawPositionEstimate", "wrap_bearing",
+]
 
 MIN_EFFECTIVE_SAMPLES = 3
+
+PROVENANCE_OBSERVED = "observed"
+PROVENANCE_FORECAST = "forecast-inserted"
+PROVENANCE_DROPPED = "dropped"
+PROVENANCE_VALUES = (PROVENANCE_OBSERVED, PROVENANCE_FORECAST, PROVENANCE_DROPPED)
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -231,3 +245,117 @@ class VectorObservationSeries:
         roots = np.ascontiguousarray(np.swapaxes(roots, 1, 2)).swapaxes(1, 2)
         object.__setattr__(series, "roots", _frozen(roots))
         return series
+
+
+def wrap_bearing(theta: float) -> float:
+    """Reduce an angle in radians to the interval (-pi, pi]."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise DataError("bearing must be finite")
+    return math.pi - (math.pi - theta) % (2.0 * math.pi)
+
+
+def _positive_variance(value: float, what: str, argument: str) -> float:
+    var = float(value)
+    if not math.isfinite(var) or var <= 0.0:
+        raise DataError(f"{what} must be finite and positive, got {var}", argument=argument)
+    return var
+
+
+@dataclass(frozen=True)
+class PolarObservation:
+    """One range-and-bearing fix with per-channel noise variances.
+
+    ``bearing`` is in radians, anti-clockwise from the x-axis, stored
+    wrapped to (-pi, pi]. ``distance`` is the measured range and must be
+    positive, as must both variances.
+    """
+
+    distance: float
+    bearing: float
+    distance_variance: float
+    bearing_variance: float
+
+    def __post_init__(self) -> None:
+        distance = float(self.distance)
+        if not math.isfinite(distance) or distance <= 0.0:
+            raise DataError(f"range must be finite and positive, got {distance}",
+                            argument="distance")
+        var_r = _positive_variance(self.distance_variance, "range variance", "distance_variance")
+        var_b = _positive_variance(self.bearing_variance, "bearing variance", "bearing_variance")
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "bearing", wrap_bearing(self.bearing))
+        object.__setattr__(self, "distance_variance", var_r)
+        object.__setattr__(self, "bearing_variance", var_b)
+
+
+@dataclass(frozen=True)
+class RawPositionEstimate:
+    """Cartesian position derived from sensor data.
+
+    ``information`` is the inverse covariance of the estimate,
+    ``weight`` the conditioning weight in [0, 1] of the transform that
+    produced it, and ``provenance`` one of ``"observed"``,
+    ``"forecast-inserted"``, or ``"dropped"``. Dropped estimates must not
+    enter a solve. Construction checks the information by ``_symmetrized``,
+    the rule of every series, and keeps its root R (R^T R = information) as ``root``.
+    """
+
+    position: np.ndarray
+    information: np.ndarray
+    weight: float
+    provenance: str
+    root: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        position = np.asarray(self.position, dtype=float)
+        if position.ndim != 1 or position.size < 1:
+            raise ShapeMismatch(
+                f"estimate position must be a 1-D vector, got shape {position.shape}"
+            )
+        if not np.all(np.isfinite(position)):
+            raise DataError("estimate position must be finite")
+        dim = position.size
+        info = np.asarray(self.information, dtype=float)
+        if info.shape != (dim, dim):
+            raise ShapeMismatch(
+                f"information must have shape ({dim}, {dim}), got {info.shape}"
+            )
+        if not np.all(np.isfinite(info)):
+            raise DataError("information matrix must be finite")
+        sym, root = _symmetrized(info[None], where="of this estimate")
+        weight = float(self.weight)
+        if not math.isfinite(weight) or weight < 0.0 or weight > 1.0 + 1e-12:
+            raise DataError(f"condition weight must lie in [0, 1], got {weight}",
+                            argument="weight")
+        if self.provenance not in PROVENANCE_VALUES:
+            raise DataError(f"unknown provenance {self.provenance!r}; expected one of "
+                            f"{PROVENANCE_VALUES}", argument="provenance")
+        object.__setattr__(self, "position", _frozen(position))
+        object.__setattr__(self, "information", _frozen(sym[0]))
+        object.__setattr__(self, "root", _frozen(root[0]))
+        object.__setattr__(self, "weight", min(weight, 1.0))
+
+    @property
+    def dim(self) -> int:
+        return self.position.size
+
+    @property
+    def usable(self) -> bool:
+        """Whether the estimate may participate in a solve."""
+        return self.provenance != PROVENANCE_DROPPED
+
+
+def _scalar_fix(value: Optional[float], info: float) -> Optional[RawPositionEstimate]:
+    """A scalar reading as an observed 1-D fix; None for a gap (``value`` None or ``info`` 0)."""
+    if value is None:
+        return None
+    value, info = float(value), float(info)
+    if not math.isfinite(value):
+        raise ShapeMismatch("scalar observation must be finite")
+    if not math.isfinite(info) or info < 0.0:
+        raise UsageError(f"scalar information must be finite and non-negative, got {info}")
+    if info == 0.0:
+        return None
+    return RawPositionEstimate(position=np.array([value]), information=np.array([[info]]),
+                               weight=1.0, provenance=PROVENANCE_OBSERVED)

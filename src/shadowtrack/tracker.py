@@ -9,7 +9,9 @@ time in square-root information form and never re-solved: over the full
 history (the default) every fix costs constant work however long the
 stream runs, over a sliding window work in proportion to its length.
 Either way, ``trajectory`` is the batch solve of the window as of the last
-solved step, built when it is read.
+solved step, built when it is read. Fixes arrive as the checked
+``RawPositionEstimate`` of ``series``, whatever sensor made them, so
+tracking loads no sensor geometry.
 """
 
 from __future__ import annotations
@@ -40,19 +42,17 @@ from .errors import (
     UsageError,
     WindowTooSparse,
 )
-from .geometry import (
+from .series import (
+    MIN_EFFECTIVE_SAMPLES,
     PROVENANCE_DROPPED,
     PROVENANCE_FORECAST,
     RawPositionEstimate,
-    _scalar_fix,
-)
-from .series import (
-    MIN_EFFECTIVE_SAMPLES,
     ScalarObservationSeries,
     VectorObservationSeries,
     _frozen,
     _real,
     _require_positive_eta,
+    _scalar_fix,
     build_time_grid,
 )
 from .solver import (

@@ -82,13 +82,17 @@ def test_the_constants_load_only_their_own_module():
 
 
 def test_the_input_checks_and_the_operator_layer_load_no_production_solve():
-    """``series`` rests on ``errors`` alone, and ``matrices`` on ``series`` and ``errors``."""
+    """``series`` rests on ``errors`` alone, and ``matrices`` on ``series`` and ``errors``.
+    The file formats and the tracker take fixes and polar readings from ``series``,
+    so neither loads the sensor geometry."""
     modules = loaded_after("import shadowtrack.series")
     assert [name for name in modules if name.startswith("shadowtrack.")] == [
         "shadowtrack.errors", "shadowtrack.series"]
     modules = loaded_after("import shadowtrack.matrices")
     assert [name for name in modules if name.startswith("shadowtrack.")] == [
         "shadowtrack.errors", "shadowtrack.matrices", "shadowtrack.series"]
+    for module in ("fileio", "tracker"):
+        assert "shadowtrack.geometry" not in loaded_after(f"import shadowtrack.{module}"), module
 
 
 def test_the_series_classes_load_no_solver():

@@ -1034,8 +1034,9 @@ class TestStartup:
           for scenario in ("rednoise", "planar", "sonar", "range-bearing")),
         *((f"transform {kind}", ("solver", "tracker", "scenarios", "matrices"))
           for kind in ("range-bearing", "two-bearings", "two-ranges")),
-        *((f"track {kind}", ("scenarios",)) for kind in ("scalar", "raw")),
-        *((f"filter {kind}", ("scenarios", "tracker")) for kind in ("scalar", "vector", "xi")),
+        *((f"track {kind}", ("scenarios", "geometry")) for kind in ("scalar", "raw")),
+        *((f"filter {kind}", ("scenarios", "tracker", "geometry"))
+          for kind in ("scalar", "vector", "xi")),
     ])
     def test_a_command_loads_only_what_it_runs(self, command_lines, line, unused):
         """Run first in a fresh interpreter, every command path also reaches the
