@@ -226,26 +226,6 @@ class VectorObservationSeries:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def _decomposed(cls, grid: TimeGrid, values: np.ndarray, informations: np.ndarray,
-                    roots: np.ndarray) -> VectorObservationSeries:
-        """The series of informations already checked by ``_symmetrized``, with their roots.
-
-        Nothing is checked or decomposed again: the caller vouches for the
-        shapes, for symmetric positive semidefinite informations with
-        R^T R = information, and for at least ``MIN_EFFECTIVE_SAMPLES``
-        nonzero ones, as the tracker's slots hold them.
-        """
-        series = cls.__new__(cls)
-        object.__setattr__(series, "grid", grid)
-        object.__setattr__(series, "values", _frozen(values))
-        object.__setattr__(series, "informations", _frozen(informations))
-        # Laid out as ``_symmetrized`` lays out its roots, each transposed in
-        # memory: the solve's products then round as for a fresh series.
-        roots = np.ascontiguousarray(np.swapaxes(roots, 1, 2)).swapaxes(1, 2)
-        object.__setattr__(series, "roots", _frozen(roots))
-        return series
-
 
 def wrap_bearing(theta: float) -> float:
     """Reduce an angle in radians to the interval (-pi, pi]."""

@@ -170,14 +170,27 @@ def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return getattr(_BUFFERS, name)[:size].reshape(shape)
 
 
+def _require_finite(*arrays: np.ndarray,
+                    message: str = "stationarity solve produced non-finite values") -> None:
+    """Raise SingularSystem with ``message`` unless every entry of ``arrays`` is finite."""
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise SingularSystem(message)
+
+
 def _acceleration_weights(eta: float, taus: np.ndarray) -> np.ndarray:
     """sqrt(2 eta tau) for each gap, the weight of its acceleration rows; SingularSystem
     where one is past the float range."""
-    with np.errstate(over="ignore"):
-        weights = np.sqrt(2.0 * eta * taus)
-    if not np.all(np.isfinite(weights)):
-        raise SingularSystem(f"acceleration weight sqrt(2 eta tau) overflows at eta {eta:g}")
+    weights = np.sqrt(2.0 * eta * taus)
+    _require_finite(weights,
+                    message=f"acceleration weight sqrt(2 eta tau) overflows at eta {eta:g}")
     return weights
+
+
+def _data_rows(rows: np.ndarray) -> np.ndarray:
+    """The data rows R y of a solve as given; SingularSystem where one is past the float range."""
+    _require_finite(rows, message="data rows R y pass the float range")
+    return rows
 
 
 def _panel_maps(tau: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,8 +247,9 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     Returns the (m, d, k) positions, the (m - 1, d, k) accelerations, their
     derivatives in eta (NaN past the float range), and the data column's misfit
     y - p, summed from the refinement's parts so it keeps the digits that p loses
-    to rounding at its own scale. Data rows R y past the float range raise
-    SingularSystem.
+    to rounding at its own scale. It runs under ``_solve``'s float-range guard: data
+    rows R y past the float range raise SingularSystem here, and other products past
+    it reach the pivot checks or ``_solve``'s finite check as infinities or NaN.
     """
     m, d = values.shape
     n, k = m - 1, d + 1
@@ -263,11 +277,8 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     np.multiply(coef[:, :s, None, :, None], root[..., None, :],
                 out=data[..., :cols].reshape(panels, s, d, s + 2, d))
     np.multiply(weight[..., None], np.eye(sd).reshape(s, d, sd), out=accel[..., :sd])
-    with np.errstate(over="ignore"):
-        data[..., cols] = (root @ padded(values)[..., None])[..., 0]
-        last = roots[n] @ values[n, :, None]
-    if not (np.all(np.isfinite(data[..., cols])) and np.all(np.isfinite(last))):
-        raise SingularSystem("data rows R y pass the float range")
+    data[..., cols] = _data_rows((root @ padded(values)[..., None])[..., 0])
+    last = _data_rows(roots[n] @ values[n, :, None])
 
     # LAPACK's raw layout holds R transposed; entries below its diagonal are
     # reflectors, masked off in the carried rows.
@@ -321,8 +332,7 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     data[..., cols:cols + k] = padded(residual)
     data[..., cols + k:] = 0.0
     accel[..., cols:cols + k] = -padded(a) * weight[..., None]
-    with np.errstate(over="ignore"):
-        np.divide(accel[..., cols:cols + k], eta, out=accel[..., cols + k:])
+    np.divide(accel[..., cols:cols + k], eta, out=accel[..., cols + k:])
     if not np.all(np.isfinite(accel[..., cols + k:])):  # the derivative passes the float range
         accel[..., cols + k:] = np.nan
     kept = np.empty((panels, sd, 2 * k))
@@ -353,8 +363,6 @@ def _sweep(taus: np.ndarray, values: np.ndarray, roots: np.ndarray, eta: float):
     _walk_back(t, da, vel, pos)
     dp, da = samples(pos, da, p_n)
     p, a = p + dp[:, :, :k], a + da[:, :, :k]
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
-        raise SingularSystem("stationarity solve produced non-finite values")
     return p, a, dp[:, :, k:], da[:, :, k:], misfit[:, :, 0] - dp[:, :, 0]
 
 
@@ -429,30 +437,34 @@ def _solve(grid: TimeGrid, values: np.ndarray, infos: np.ndarray, roots: np.ndar
     misfit), and the rows' derivatives in eta give d alpha / d eta through the
     same triangle. Velocities are recovered in the original frame.
     """
-    taus = grid.taus
-    if time_reversed:
-        # Mirrored time has the same gaps in reverse order.
-        taus, values, infos, roots = taus[::-1], values[::-1], infos[::-1], roots[::-1]
-    x, acc, dx, dacc, misfit = _sweep(taus, values, roots, eta)
-    # The rows [b | A] = R [y - p0 | Z] and their derivatives [db | dA] in eta.
-    b, db = (roots @ misfit[:, :, None]).ravel(), -(roots @ dx[:, :, :1]).ravel()
-    A, dA = ((roots @ z).reshape(b.size, -1) for z in (x[:, :, 1:], dx[:, :, 1:]))
-    alpha, q, r = _least_squares(b, A)
-    # A^T A d alpha = dA^T (b - A alpha) + A^T (db - dA alpha), with A = q r.
-    dalpha = np.linalg.solve(r, q.T @ (db - dA @ alpha)
-                             + np.linalg.solve(r.T, dA.T @ (b - A @ alpha)))
-    p = x[:, :, 0] + x[:, :, 1:] @ alpha
-    a = acc[:, :, 0] + acc[:, :, 1:] @ alpha
-    da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
-    t = taus[:, None]
-    slope = _rescaled(lambda a, da: float(eta * np.sum(t * a * da) / np.sum(t * a * a)), 0, a, da)
-    resid = _master_residual(taus, values, infos, eta, p)
-    if time_reversed:
-        p, a = p[::-1], a[::-1]
-    # Velocities making each interval's quadratic hit both endpoints.
-    taus = grid.taus[:, None]
-    head = np.diff(p, axis=0) / taus - 0.5 * a * taus
-    v = np.concatenate([head, head[-1:] + a[-1:] * taus[-1:]], axis=0)
+    # One float-range guard per solve: products past it end in the pivot and finite checks.
+    with np.errstate(over="ignore", invalid="ignore"):
+        taus = grid.taus
+        if time_reversed:
+            # Mirrored time has the same gaps in reverse order.
+            taus, values, infos, roots = taus[::-1], values[::-1], infos[::-1], roots[::-1]
+        x, acc, dx, dacc, misfit = _sweep(taus, values, roots, eta)
+        # The rows [b | A] = R [y - p0 | Z] and their derivatives [db | dA] in eta.
+        b, db = (roots @ misfit[:, :, None]).ravel(), -(roots @ dx[:, :, :1]).ravel()
+        A, dA = ((roots @ z).reshape(b.size, -1) for z in (x[:, :, 1:], dx[:, :, 1:]))
+        alpha, q, r = _least_squares(b, A)
+        # A^T A d alpha = dA^T (b - A alpha) + A^T (db - dA alpha), with A = q r.
+        dalpha = np.linalg.solve(r, q.T @ (db - dA @ alpha)
+                                 + np.linalg.solve(r.T, dA.T @ (b - A @ alpha)))
+        p = x[:, :, 0] + x[:, :, 1:] @ alpha
+        a = acc[:, :, 0] + acc[:, :, 1:] @ alpha
+        da = dacc[:, :, 0] + dacc[:, :, 1:] @ alpha + acc[:, :, 1:] @ dalpha
+        t = taus[:, None]
+        slope = _rescaled(lambda a, da: float(eta * np.sum(t * a * da) / np.sum(t * a * a)),
+                          0, a, da)
+        resid = _master_residual(taus, values, infos, eta, p)
+        if time_reversed:
+            p, a = p[::-1], a[::-1]
+        # Velocities making each interval's quadratic hit both endpoints.
+        taus = grid.taus[:, None]
+        head = np.diff(p, axis=0) / taus - 0.5 * a * taus
+        v = np.concatenate([head, head[-1:] + a[-1:] * taus[-1:]], axis=0)
+    _require_finite(p, v, a)
     return ShadowingTrajectory(
         grid=grid, eta=eta, positions=_frozen(p), velocities=_frozen(v),
         accelerations=_frozen(a), time_reversed=time_reversed,
@@ -490,11 +502,15 @@ class _IncrementalSolve:
     to 5.2e-9 for noise at eta 1e-3 in a window of 25. There the fit's
     velocity near the pin reaches 1e4 times its scale, and the rows of the
     samples beside the pin keep only the digits that leaves.
+
+    Its rules are the batch solve's: a tracker step runs ``append`` and ``newest`` under
+    one float-range guard, data rows R y past it raise SingularSystem as each sample
+    arrives, and other products past it end there through the pivot and finite checks.
     """
 
     def __init__(self, dim: int, eta: float, sliding: bool):
         self.dim, self.eta, self.sliding = dim, eta, sliding
-        self._latest: tuple | None = None  # (time, value, R) of sample N
+        self._latest: tuple | None = None  # (time, value, R, R value) of sample N
         s, k = 2 * dim, dim + 1
         # Per chain, oldest pin first: the pin's time, the carry, the residual
         # rows of samples up to N-1, and the last gap's acceleration as
@@ -508,16 +524,18 @@ class _IncrementalSolve:
         """Add the newest sample with a root R of its information W, R^T R = W.
 
         A ``RawPositionEstimate`` carries its root, checked; a zero W has a zero root.
+        Data rows R y past the float range raise SingularSystem, as in ``_sweep``.
         """
+        rows = _data_rows(root @ value)
         if self._latest is None:
-            self._latest = (time, value, root)
+            self._latest = (time, value, root, rows)
             return
         d, k = self.dim, self.dim + 1
         s = 2 * d
-        t0, y0, root0 = self._latest
+        t0, _, root0, rows0 = self._latest
         weight = _acceleration_weights(self.eta, np.array([time - t0]))[0]
         start = _panel_maps(np.array([[time - t0]]), d)[1][0]  # x_{N} on (a, x_{N+1})
-        self._latest = (time, value, root)
+        self._latest = (time, value, root, rows)
         old = self._pins.size
         if self.sliding or not old:
             self._pins = np.append(self._pins, t0)
@@ -529,12 +547,12 @@ class _IncrementalSolve:
         work[:old, :s, 3 * d:] = self._carry[:, :, s:]
         work[:, s:3 * d, :d] = weight * np.eye(d)
         work[:, 3 * d:, d:s] = root
-        work[:, 3 * d:, 3 * d] = root @ value
+        work[:, 3 * d:, 3 * d] = rows
         if chains > old:
             first = work[-1, :3 * d]
             first[:d] = np.concatenate([start[d:], np.eye(d, k, 1)], axis=1)
             first[d:s, :3 * d] = root0 @ start[:d]
-            first[d:s, 3 * d] = root0 @ y0
+            first[d:s, 3 * d] = rows0
             first[d:] -= first[d:, :d] @ np.linalg.solve(first[:d, :d], first[:d])
         r = np.linalg.qr(work, mode="r")
         gap = np.linalg.solve(r[:, :d, :d], r[:, :d, d:])
@@ -542,7 +560,7 @@ class _IncrementalSolve:
         # row on [x_{N+1}; I]: x_N = start (a; x_{N+1}), a substituted.
         residual = np.zeros((chains, self._residual.shape[1] + d, s + k))
         residual[:old, :-d] = self._residual
-        residual[:, -d:, :d], residual[:, -d:, s] = root0, -root0 @ y0
+        residual[:, -d:, :d], residual[:, -d:, s] = root0, -rows0
         prior = np.concatenate([start[:, d:] - start[:, :d] @ gap[:, :, :s],
                                 start[:, :d] @ gap[:, :, s:]], axis=2)
         substituted = residual[:, :, :s] @ prior
@@ -565,19 +583,17 @@ class _IncrementalSolve:
         carry = self._carry[0]
         _require_nonsingular(np.diagonal(carry)[:d])
         x = np.linalg.solve(carry[:, :s], carry[:, s:])
-        _, value, root = self._latest
+        _, value, root, _ = self._latest
         misfit = x[:d].copy()  # p0 - y | z of sample N
         misfit[:, 0] -= value
         residuals = np.concatenate([self._residual[0] @ np.concatenate([x, np.eye(k)]),
                                     root @ misfit])
-        if not np.all(np.isfinite(residuals)):
-            raise SingularSystem("stationarity solve produced non-finite values")
+        _require_finite(residuals)
         alpha = _least_squares(-residuals[:, 0], residuals[:, 1:])[0]
         state = x[:, 0] + x[:, 1:] @ alpha
         gap = self._gap[0]
         a = gap[:, s] + gap[:, s + 1:] @ alpha - gap[:, :s] @ state
-        if not (np.all(np.isfinite(state)) and np.all(np.isfinite(a))):
-            raise SingularSystem("stationarity solve produced non-finite values")
+        _require_finite(state, a)
         return state[:d], state[d:], a
 
 

@@ -206,7 +206,9 @@ class SequentialTracker:
     def trajectory(self) -> Optional[ShadowingTrajectory]:
         """Batch solve of the window's gridded slots as of the last solved step.
 
-        Built when first read after a solved step and kept until the next,
+        The slots' values and informations are checked afresh as a series, so the
+        fit is bit for bit that of ``solve_scalar`` or ``solve_vector`` on the same
+        fixes. Built when first read after a solved step and kept until the next,
         even once the window has moved past those slots. None until a step
         has been solved.
         """
@@ -292,7 +294,11 @@ class SequentialTracker:
             self.dim = estimate.dim
             self._elimination = _IncrementalSolve(self.dim, self.config.eta,
                                                   sliding=self.config.window is not None)
-        self._append(slot)
+        # One float-range guard per step, as in a batch solve; the emission stays outside it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._append(slot)
+            if self._usable >= MIN_EFFECTIVE_SAMPLES:
+                self._solve()
         point = self._emit(slot)
         self.last_point = point
         return point
@@ -302,8 +308,7 @@ class SequentialTracker:
         if slot.contributes:
             self._usable += 1
         if self.config.window is None and slot.contributes:
-            with np.errstate(over="ignore"):
-                total = self._info_sum + slot.information / self._info_scale
+            total = self._info_sum + slot.information / self._info_scale
             if not np.isfinite(total).all():  # both terms halved, their sum is in range
                 self._info_scale *= 2.0
                 total = 0.5 * self._info_sum + slot.information / self._info_scale
@@ -342,9 +347,7 @@ class SequentialTracker:
                 grid=grid, values=values[:, 0], weights=infos[:, 0, 0]
             )
             return solve_scalar(series, self.config.eta)
-        # Each slot's information was checked and decomposed when its fix was made.
-        series = VectorObservationSeries._decomposed(
-            grid, values, infos, np.stack([slot.root for slot in gridded]))
+        series = VectorObservationSeries(grid=grid, values=values, informations=infos)
         return solve_vector(series, self.config.eta)
 
     def _solve(self) -> None:
@@ -363,7 +366,6 @@ class SequentialTracker:
 
     def _emit(self, newest: _Slot) -> TrackPoint:
         if self._usable >= MIN_EFFECTIVE_SAMPLES:
-            self._solve()
             state = self._newest
             position, velocity, acceleration = state.position, state.velocity, state.acceleration
             if state.time != newest.time:

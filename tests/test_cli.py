@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,31 @@ class TestTrack:
         manifest = os.path.join(out, "a-track-manifest.json")
         assert f"cannot write {manifest}: 4100 bytes" in capsys.readouterr().err
         assert not (tmp_path / ("d" * 200)).exists()
+
+    @pytest.mark.parametrize("stem_bytes, code", [(235, 0), (236, 3)])
+    def test_names_are_held_to_255_bytes_without_pathconf(self, tmp_path, capsys, monkeypatch,
+                                                          stem_bytes, code):
+        """Where the file system's limits cannot be read, a name may take 255 bytes and a
+        path any length: a 236-byte stem makes a 256-byte manifest name."""
+        path = tmp_path / ("s" * stem_bytes + ".csv")
+        fileio.write_table(str(path), fileio.SCHEMA_RAW_ESTIMATES,
+                           ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
+                           [(t, t, 0.5 * t, 1.0, 0.0, 1.0, 1.0, PROVENANCE_OBSERVED)
+                            for t in np.arange(4.0)])
+
+        def unreadable(path, name):
+            raise OSError(f"no {name} for {path}")
+
+        monkeypatch.setattr(os, "pathconf", unreadable)
+        out = tmp_path / "trk"
+        assert run_cli("track", str(path), "--eta", "10", "--out", str(out)) == code
+        manifest = "s" * stem_bytes + "-track-manifest.json"
+        if code:
+            assert (f"cannot write {manifest}: 256 bytes, past the file system's limit of "
+                    "255 bytes on a file name") in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert (out / manifest).exists()
 
     def test_wrong_schema_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "truth.csv")
@@ -980,6 +1006,46 @@ class TestNumericFlags:
             code = exc.code
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def float_range_inputs(tmp_path):
+    """A scalar table six samples 1e155 apart, whose squared gaps pass the float range, and
+    raw estimates of about 1e300 with informations of 1e20 I, whose rows R y pass it."""
+    gaps = str(tmp_path / "gaps.csv")
+    fileio.write_scalar_observations(gaps, 1e155 * np.arange(6.0),
+                                     np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0]), np.ones(6))
+    huge = str(tmp_path / "huge.csv")
+    fileio.write_table(huge, fileio.SCHEMA_RAW_ESTIMATES,
+                       ("t", "x", "y", "ixx", "ixy", "iyy", "w", "provenance"),
+                       [(t, 1e300 * t, 5e299 * t, 1e20, 0.0, 1e20, 1.0, PROVENANCE_OBSERVED)
+                        for t in np.arange(4.0)])
+    return {"gaps": gaps, "huge": huge}
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("warnings_filter", ["error", "always"])
+    @pytest.mark.parametrize("table, argv", [
+        ("gaps", ["filter", "--eta", "1"]),
+        ("gaps", ["filter", "--xi", "0.1"]),
+        ("gaps", ["track"]),
+        ("gaps", ["track", "--window", "3"]),
+        ("huge", ["track"]),
+    ], ids=["filter-eta", "filter-xi", "track", "track-window-3", "track-huge-rows"])
+    def test_rows_past_the_float_range_exit_4_writing_nothing(self, tmp_path, capsys,
+                                                              warnings_filter, table, argv):
+        """Whether warnings raise or are all shown, the run ends in one error line and no
+        numpy warning."""
+        inputs = float_range_inputs(tmp_path)
+        out = tmp_path / "out"
+        command, *flags = argv
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(warnings_filter)
+            code = run_cli(command, inputs[table], *flags, "--out", str(out))
+        assert code == 4
+        assert [str(warning.message) for warning in shown] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def fresh_modules(code, *argv):

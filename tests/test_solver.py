@@ -1135,6 +1135,32 @@ class TestFiniteFitsStayFinite:
         with pytest.raises(SingularSystem, match="data rows"):
             solve_vector(obs, 10.0)
 
+    @staticmethod
+    def spread_series(gap, dim):
+        """Six samples ``gap`` apart; the panels' dynamics square the gaps."""
+        times = gap * np.arange(6.0)
+        shape = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
+        if dim == 1:
+            return scalar_series(times, shape)
+        return VectorObservationSeries(grid=build_time_grid(times),
+                                       values=np.column_stack([shape, 2.0 * shape]),
+                                       informations=np.tile(np.eye(2), (6, 1, 1)))
+
+    @pytest.mark.parametrize("time_reversed", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("gap", [1e155, 1e300])
+    def test_squared_gaps_past_the_float_range_are_singular(self, gap, dim, time_reversed):
+        """tau^2 overflows on gaps of 1e155; the solve says so rather than warn."""
+        solve = solve_scalar if dim == 1 else solve_vector
+        with pytest.raises(SingularSystem):
+            solve(self.spread_series(gap, dim), 1.0, time_reversed=time_reversed)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("gap", [1e155, 1e300])
+    def test_eta_search_on_squared_gaps_past_the_float_range_is_singular(self, gap, dim):
+        with pytest.raises(SingularSystem):
+            search_eta(self.spread_series(gap, dim), 0.1, 1e-3, 1e3)
+
     def test_eta_derivative_past_the_float_range_gives_a_nan_slope(self):
         """At eta 1e-299 on values near 1e300 the derivative of the fit in eta passes the
         float range: the fit stands, with no warning, and its slope is NaN."""
